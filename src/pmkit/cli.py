@@ -19,7 +19,7 @@ from pathlib import Path
 from . import acceptance, catalog
 from .algebra import dual_algebra
 from .document import NamedSpace, parse_space
-from .errors import PmkitError
+from .errors import ParseError, PmkitError
 from .morphism import DEFAULT_BUDGET, is_pm_isomorphic, search_surjective
 from .subalgebra import generate_subalgebra, one_generator_growth
 from .variety import SimpleRef, l6_member, l6_member_oracle, subvariety_lattice
@@ -44,8 +44,16 @@ def resolve_space(token: str) -> NamedSpace:
         return NamedSpace(space, names)
     except PmkitError as exc:
         path = Path(token)
-        if path.exists():
-            return parse_space(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8") if path.exists() else None
+        except OSError as err:
+            raise ParseError(f"cannot read {token!r}: {err.strerror}") from None
+        except UnicodeDecodeError as err:
+            raise ParseError(
+                f"{token!r} is not UTF-8 text (byte {err.start}: {err.reason})"
+            ) from None
+        if text is not None:
+            return parse_space(text)
         looks_like_catalog = token.startswith(("q6:", "grid:", "crown:"))
         if looks_like_catalog:
             raise exc

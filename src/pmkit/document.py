@@ -45,6 +45,8 @@ def parse_space(text: str) -> NamedSpace:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON at position {exc.pos}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nests too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     try:
@@ -61,6 +63,8 @@ def parse_space(text: str) -> NamedSpace:
     n = len(elements)
 
     def resolve(name) -> int:
+        if not isinstance(name, str):
+            raise ParseError(f"element names must be strings, got {name!r}")
         if name not in index:
             raise ParseError(f"unknown element name {name!r}")
         return index[name]

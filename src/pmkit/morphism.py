@@ -18,6 +18,7 @@ witnesses are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
@@ -268,6 +269,36 @@ def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
 
 # -- specialised criteria for the two-level bipartite family -----------------
 
+#: Spaces whose q6 shape is remembered; a criteria sweep revisits a handful.
+_Q6_SHAPE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_Q6_SHAPE_CACHE_SIZE)
+def _q6_shape(space: Space) -> tuple[int, int, int]:
+    """``(n, minimals mask, exceptions mask)`` of a q6-shaped space.
+
+    Cached per space, which is sound because spaces are immutable; a shape
+    mismatch raises :class:`NotQ6Shaped` and is not cached.
+    """
+    p, zeta = space.poset, space.zeta
+    minimals, maximals = p.minimals_mask(), p.maximals_mask()
+    n = minimals.bit_count()
+    if n < 3 or space.n != 2 * n or minimals & maximals:
+        raise NotQ6Shaped("expected disjoint minimal/maximal levels with |min| >= 3")
+    images = 0
+    for x in iter_bits(minimals):
+        images |= 1 << zeta[x]
+    if images != maximals:
+        raise NotQ6Shaped("involution must swap the two levels")
+    exceptions = 0
+    for x in iter_bits(minimals):
+        up, own = p.up_mask(x), 1 << zeta[x]
+        if maximals & ~own & ~up:
+            raise NotQ6Shaped("distinct minimals must lie below each other's images")
+        if not up & own:
+            exceptions |= 1 << x
+    return n, minimals, exceptions
+
 
 def q6_params_of(space: Space) -> tuple[int, int, frozenset[int]]:
     """Recognise a two-level bipartite space of the ``q6`` kind.
@@ -276,24 +307,8 @@ def q6_params_of(space: Space) -> tuple[int, int, frozenset[int]]:
     minimal elements not below their own involution image.  Raises
     :class:`NotQ6Shaped` when the space does not match.
     """
-    p = space.poset
-    minimals = p.minimals()
-    maximals = p.maximals()
-    n = len(minimals)
-    if n < 3 or space.n != 2 * n or minimals & maximals:
-        raise NotQ6Shaped("expected disjoint minimal/maximal levels with |min| >= 3")
-    if space.zeta_image(minimals) != maximals:
-        raise NotQ6Shaped("involution must swap the two levels")
-    for x in minimals:
-        for y in minimals:
-            if x != y and not p.leq(x, space.zeta[y]):
-                raise NotQ6Shaped(
-                    "distinct minimals must lie below each other's images"
-                )
-    exceptions = frozenset(
-        x for x in minimals if not p.leq(x, space.zeta[x])
-    )
-    return len(exceptions), n, exceptions
+    n, _, exceptions = _q6_shape(space)
+    return exceptions.bit_count(), n, frozenset(iter_bits(exceptions))
 
 
 @dataclass(frozen=True)
@@ -326,30 +341,31 @@ def check_q6_criteria(src: Space, dst: Space, mapping: Sequence[int]) -> Q6Crite
     mapped outside ``J`` must share its image with another non-preimage
     point of ``S``.
     """
-    _, n_src, exc_src = q6_params_of(src)
-    _, n_dst, exc_dst = q6_params_of(dst)
+    _, s_level, exc_src = _q6_shape(src)
+    _, t_level, exc_dst = _q6_shape(dst)
     phi = MorphismMap(src, dst, tuple(mapping)).mapping
-    s_level = src.poset.minimals()
-    t_level = dst.poset.minimals()
+    src_zeta, dst_zeta = src.zeta, dst.zeta
 
-    onto = {phi[x] for x in s_level} == t_level
-    equivariant = all(phi[src.zeta[x]] == dst.zeta[phi[x]] for x in s_level)
-    clause1 = onto and equivariant
+    image = preimage = preimage_image = 0
+    equivariant = injective = True
+    # Images of level points outside the preimage: hit once, hit again.
+    once = twice = 0
+    for x in iter_bits(s_level):
+        t = phi[x]
+        bit = 1 << t
+        image |= bit
+        if phi[src_zeta[x]] != dst_zeta[t]:
+            equivariant = False
+        if bit & exc_dst:
+            preimage |= 1 << x
+            if bit & preimage_image:
+                injective = False
+            preimage_image |= bit
+        else:
+            twice |= once & bit
+            once |= bit
 
-    preimage = frozenset(x for x in s_level if phi[x] in exc_dst)
-    clause2 = preimage <= exc_src
-
-    images = [phi[x] for x in sorted(preimage)]
-    clause3 = len(images) == len(set(images))
-
-    clause4 = True
-    for x in exc_src - preimage:
-        if not any(
-            phi[u] == phi[x]
-            for u in s_level - preimage
-            if u != x
-        ):
-            clause4 = False
-            break
-
-    return Q6CriteriaReport(clause1, clause2, clause3, clause4)
+    clause1 = image == t_level and equivariant
+    clause2 = not preimage & ~exc_src
+    clause4 = all((twice >> phi[x]) & 1 for x in iter_bits(exc_src & ~preimage))
+    return Q6CriteriaReport(clause1, clause2, injective, clause4)

@@ -342,25 +342,21 @@ class Poset:
 
         Raises :class:`SizeLimitExceeded` once more than ``limit`` sets exist.
         """
-        n = self.n
-        order = sorted(range(n), key=lambda i: self._down[i].bit_count())
-        strict_down = [self._down[i] & ~(1 << i) for i in range(n)]
-        found: list[int] = []
-
-        def extend(idx: int, mask: int) -> None:
-            if idx == n:
-                if len(found) >= limit:
-                    raise SizeLimitExceeded(
-                        f"more than {limit} downsets; raise the limit to proceed"
-                    )
-                found.append(mask)
-                return
-            e = order[idx]
-            extend(idx + 1, mask)
-            if not strict_down[e] & ~mask:
-                extend(idx + 1, mask | (1 << e))
-
-        extend(0, 0)
+        # Along a linear extension, the downsets of each prefix are those of
+        # the previous prefix, with and without the new element; the count
+        # never falls, so the limit can be enforced as soon as it is passed.
+        order = sorted(range(self.n), key=lambda i: self._down[i].bit_count())
+        found = [0]
+        for e in order:
+            if len(found) > limit:
+                break
+            bit = 1 << e
+            below = self._down[e] ^ bit
+            found += [m | bit for m in found if not below & ~m]
+        if len(found) > limit:
+            raise SizeLimitExceeded(
+                f"more than {limit} downsets; raise the limit to proceed"
+            )
         sets = [self.set_of(m) for m in found]
         sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
         return sets

@@ -29,6 +29,44 @@ def test_validate_bad_document(tmp_path, capsys):
     assert "InvolutionBroken" in out
 
 
+def _directory(tmp_path):
+    path = tmp_path / "space.json"
+    path.mkdir()
+    return path
+
+
+def _utf16_document(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"elements": []}'.encode("utf-16-le"))
+    return path
+
+
+def _list_as_name(tmp_path):
+    path = tmp_path / "list_name.json"
+    doc = {"elements": ["a", "b"], "leq": [[["a"], "b"]], "zeta": [["a", "b"]]}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+@pytest.mark.parametrize(
+    "make", [_directory, _utf16_document, _list_as_name, _deeply_nested]
+)
+def test_unreadable_or_malformed_document_is_a_parse_error(tmp_path, capsys, make):
+    path = str(make(tmp_path))
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 1
+    assert "valid: false" in out and "ParseError" in out
+    code, _, err = run(capsys, "kind", path)
+    assert code == 2
+    assert "ParseError" in err
+
+
 def test_validate_unknown_token(capsys):
     code, out, _ = run(capsys, "validate", "qq9")
     assert code == 1

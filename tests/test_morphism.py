@@ -1,11 +1,14 @@
 """Map checking, surjective search, isomorphism, and the bipartite criteria."""
 
 import itertools
+import random
 
 import pytest
 
 from pmkit import (
     MorphismMap,
+    Poset,
+    Space,
     catalog,
     check_pm_morphism,
     check_q6_criteria,
@@ -14,6 +17,20 @@ from pmkit import (
 )
 from pmkit.errors import IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
 from pmkit.morphism import q6_params_of
+
+
+def _relabel(space, perm):
+    """The same space with element ``x`` renamed ``perm[x]``."""
+    pairs = [
+        (perm[x], perm[y])
+        for x in range(space.n)
+        for y in range(space.n)
+        if space.poset.leq(x, y)
+    ]
+    zeta = [0] * space.n
+    for x in range(space.n):
+        zeta[perm[x]] = perm[space.zeta[x]]
+    return Space(Poset.from_pairs(space.n, pairs), zeta)
 
 
 # -- check_pm_morphism ------------------------------------------------------------
@@ -202,19 +219,7 @@ def test_iso_under_relabelling():
     space = catalog.q6(1, 4)
     # relabel by rotating the free minimal elements
     perm = [0, 2, 3, 1, 4, 6, 7, 5]
-    from pmkit import Poset, Space
-
-    pairs = [
-        (perm[x], perm[y])
-        for x in range(space.n)
-        for y in range(space.n)
-        if space.poset.leq(x, y)
-    ]
-    zeta = [0] * space.n
-    for x in range(space.n):
-        zeta[perm[x]] = perm[space.zeta[x]]
-    relabelled = Space(Poset.from_pairs(space.n, pairs), zeta)
-    assert is_pm_isomorphic(space, relabelled)
+    assert is_pm_isomorphic(space, _relabel(space, perm))
 
 
 def test_iso_negative_cases():
@@ -242,6 +247,73 @@ def test_q6_params_rejects_other_shapes():
         q6_params_of(catalog.q(5))
     with pytest.raises(NotQ6Shaped):
         q6_params_of(catalog.range2_grid(5))
+
+
+def test_q6_params_follow_a_relabelling():
+    rng = random.Random(11)
+    for n in (3, 4, 5):
+        for m in range(n + 1):
+            space = catalog.q6(m, n)
+            perm = rng.sample(range(space.n), space.n)
+            params = q6_params_of(_relabel(space, perm))
+            assert params == (m, n, frozenset(perm[x] for x in range(m)))
+
+
+@pytest.mark.parametrize(
+    "other, message",
+    [
+        (catalog.q(5), "disjoint minimal/maximal levels"),
+        (catalog.range2_grid(5), "below each other's images"),
+        (catalog.crown_pair(2), "below each other's images"),
+        (catalog.nonregular_chain3(), "disjoint minimal/maximal levels"),
+    ],
+    ids=["q5", "grid5", "crown2", "chain3"],
+)
+def test_criteria_reject_other_shapes(other, message):
+    q6 = catalog.q6(1, 3)
+    with pytest.raises(NotQ6Shaped, match=message):
+        check_q6_criteria(other, q6, [0] * other.n)
+    with pytest.raises(NotQ6Shaped, match=message):
+        check_q6_criteria(q6, other, [0] * q6.n)
+
+
+def test_criteria_validate_the_mapping():
+    space = catalog.q6(1, 3)
+    for bad in ([0] * 5, [6] + [0] * 5, [-1] + [0] * 5):
+        with pytest.raises(IndexOutOfRange):
+            check_q6_criteria(space, space, bad)
+
+
+def test_criteria_follow_a_relabelling():
+    """Relabelling both spaces and conjugating the map leaves every clause
+    verdict unchanged, and the verdict still equals the direct check."""
+    rng = random.Random(7)
+    verdicts = set()
+    for n, q in itertools.product((3, 4), repeat=2):
+        for m, p in itertools.product(range(n + 1), range(q + 1)):
+            src, dst = catalog.q6(m, n), catalog.q6(p, q)
+            sigma = rng.sample(range(src.n), src.n)
+            tau = rng.sample(range(dst.n), dst.n)
+            src2, dst2 = _relabel(src, sigma), _relabel(dst, tau)
+            for _ in range(40):
+                # Half the maps keep the levels, half may send minimals up.
+                targets = q if rng.random() < 0.5 else dst.n
+                phi = [0] * src.n
+                for i in range(n):
+                    phi[i] = rng.randrange(targets)
+                    phi[n + i] = dst.zeta[phi[i]]
+                conjugated = [0] * src.n
+                for x in range(src.n):
+                    conjugated[sigma[x]] = tau[phi[x]]
+                report = check_q6_criteria(src2, dst2, conjugated)
+                assert report == check_q6_criteria(src, dst, phi), (m, n, p, q, phi)
+                direct = (
+                    check_pm_morphism(src2, dst2, conjugated).ok
+                    and len(set(conjugated)) == dst.n
+                )
+                assert report.ok == direct, (m, n, p, q, phi)
+                verdicts.add(report.ok)
+    assert verdicts == {True, False}
 
 
 def test_criteria_identity_map():

@@ -282,6 +282,24 @@ def test_downsets_limit():
         Poset.antichain(8).downsets(limit=100)
 
 
+def test_downsets_limit_is_inclusive():
+    assert len(Poset.antichain(3).downsets(limit=8)) == 8
+    with pytest.raises(SizeLimitExceeded):
+        Poset.antichain(3).downsets(limit=7)
+
+
+def test_downsets_limit_on_a_wide_antichain():
+    """The limit is enforced long before a deep enumeration would start."""
+    with pytest.raises(SizeLimitExceeded):
+        Poset.antichain(1100).downsets(limit=5)
+
+
+def test_downsets_of_a_long_chain():
+    sets = Poset.chain(1100).downsets()
+    assert len(sets) == 1101
+    assert sets == [frozenset(range(k)) for k in range(1101)]
+
+
 # -- Distance value type ----------------------------------------------------------
 
 
