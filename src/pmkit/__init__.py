@@ -32,7 +32,7 @@ from .morphism import (
     search_surjective,
 )
 from .order import INFINITE, Distance, Poset
-from .space import Space, SpaceKind, validate
+from .space import Space, SpaceKind
 from .subalgebra import (
     ClosureResult,
     crown_bound_check,
@@ -94,5 +94,4 @@ __all__ = [
     "range2_grid",
     "search_surjective",
     "subvariety_lattice",
-    "validate",
 ]

@@ -28,6 +28,7 @@ from .morphism import (
     is_pm_isomorphic,
     search_surjective,
 )
+from .order import Poset
 from .space import Space
 from .subalgebra import generate_subalgebra, is_closed_family, local_finiteness_bound
 from .variety import SimpleRef, l6_member, l6_member_oracle, subvariety_lattice
@@ -200,7 +201,8 @@ def criterion_kf_closure(budget: int = DEFAULT_BUDGET):
     full4 = [
         frozenset(c) for k in range(5) for c in itertools.combinations(range(4), k)
     ]
-    generated = catalog.boolean_closure(range(4), [frozenset((0,))])
+    discrete = dual_algebra(Space(Poset.antichain(4), range(4)))
+    generated = generate_subalgebra(discrete, [frozenset((0,))]).generated
     q6_algebra = dual_algebra(catalog.q6(2, 4))
     for tag, family in (("minimal", [frozenset(), frozenset(range(4))]),
                         ("generated", generated),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import NotAnElement, NotRegular
-from .order import DOWNSET_LIMIT, Poset
+from .order import DOWNSET_LIMIT, Poset, canonical_key
 from .space import Space
 
 
@@ -194,7 +194,7 @@ class Algebra:
             for c in downset:
                 members |= classes[c]
             out.add(members)
-        return tuple(sorted(out, key=lambda s: (len(s), tuple(sorted(s)))))
+        return tuple(sorted(out, key=canonical_key))
 
     def is_simple_algebra(self) -> bool:
         return len(self.congruence_sets()) == 2

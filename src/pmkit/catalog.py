@@ -22,16 +22,13 @@ Index conventions (also used for the printable element names):
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable
-
 from .errors import (
     BadParams,
     IndexOutOfRange,
     NotBooleanSubalgebra,
     PairedSingletonViolation,
 )
-from .order import Poset
+from .order import Poset, canonical_key
 from .space import Space
 
 
@@ -175,27 +172,6 @@ def _check_boolean_subalgebra(family, ground: frozenset[int]):
     return sets
 
 
-def boolean_closure(ground: Iterable[int], generators) -> set[frozenset[int]]:
-    """Least field of subsets of ``ground`` containing the generators."""
-    ground = frozenset(ground)
-    sets = {frozenset(), ground}
-    sets.update(frozenset(g) for g in generators)
-    while True:
-        fresh = set()
-        for xs in sets:
-            comp = ground - xs
-            if comp not in sets:
-                fresh.add(comp)
-        for xs, ys in combinations(sets, 2):
-            if xs & ys not in sets:
-                fresh.add(xs & ys)
-            if xs | ys not in sets:
-                fresh.add(xs | ys)
-        if not fresh:
-            return sets
-        sets |= fresh
-
-
 def kf_subalgebra_q6(m: int, n: int, family) -> list[frozenset[int]]:
     """Closed three-part family on ``q6(m, n)`` built from a field of subsets
     of the minimal level: the field itself, each member's image joined with
@@ -212,7 +188,7 @@ def kf_subalgebra_q6(m: int, n: int, family) -> list[frozenset[int]]:
             (x,) = xs
             if x < m:
                 members.add(space.poset.down_closure([n + x]))
-    out = sorted(members, key=lambda s: (len(s), tuple(sorted(s))))
+    out = sorted(members, key=canonical_key)
     assert all(space.poset.is_decreasing(s) for s in out)
     return out
 
@@ -243,7 +219,7 @@ def kf_subalgebra_crown(n: int, family_a, family_b) -> list[frozenset[int]]:
         if len(xs) == 1:
             (x,) = xs
             members.add(space.poset.down_closure([2 * n + x]))
-    out = sorted(members, key=lambda s: (len(s), tuple(sorted(s))))
+    out = sorted(members, key=canonical_key)
     assert all(space.poset.is_decreasing(s) for s in out)
     return out
 

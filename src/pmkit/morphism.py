@@ -92,13 +92,12 @@ class SearchReport:
 
 
 class _Search:
-    """Shared backtracking core for the surjective and bijective searches."""
+    """Backtracking core of the surjective search and the isomorphism test."""
 
-    def __init__(self, src: Space, dst: Space, budget: int, bijective: bool):
+    def __init__(self, src: Space, dst: Space, budget: int):
         self.src = src
         self.dst = dst
         self.budget = budget
-        self.bijective = bijective
         self.nodes = 0
         sp, dp = src.poset, dst.poset
         src_min, src_max = sp.minimals_mask(), sp.maximals_mask()
@@ -150,16 +149,7 @@ class _Search:
     def _leaf_ok(self) -> bool:
         if self.covered_count != self.dst.n:
             return False
-        phi = tuple(self.mapping)
-        if self.bijective:
-            if not _is_order_iso(self.src, self.dst, phi):
-                return False
-            inverse = [0] * self.dst.n
-            for i, t in enumerate(phi):
-                inverse[t] = i
-            if not check_pm_morphism(self.dst, self.src, inverse).ok:
-                return False
-        return check_pm_morphism(self.src, self.dst, phi).ok
+        return check_pm_morphism(self.src, self.dst, tuple(self.mapping)).ok
 
     def run(self) -> bool:
         return self._extend(0)
@@ -185,10 +175,6 @@ class _Search:
             tz = self.dst.zeta[t]
             if zx == x and tz != t:
                 continue
-            if self.bijective and (self.covered[t] or (zx != x and self.covered[tz])):
-                continue
-            if self.bijective and zx != x and tz == t:
-                continue
             if not self._consistent(x, t):
                 continue
             self._place(x, t)
@@ -209,14 +195,6 @@ class _Search:
         return False
 
 
-def _is_order_iso(src: Space, dst: Space, phi: Sequence[int]) -> bool:
-    for x in range(src.n):
-        for y in range(src.n):
-            if src.poset.leq(x, y) != dst.poset.leq(phi[x], phi[y]):
-                return False
-    return True
-
-
 def search_surjective(src: Space, dst: Space, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive search for a surjective structure map from ``src`` onto ``dst``."""
     if dst.n > src.n:
@@ -225,7 +203,7 @@ def search_surjective(src: Space, dst: Space, budget: int = DEFAULT_BUDGET) -> S
         if src.n == 0:
             return SearchReport(True, MorphismMap(src, dst, ()), 0)
         return SearchReport(False, None, 0)
-    search = _Search(src, dst, budget, bijective=False)
+    search = _Search(src, dst, budget)
     found = search.run()
     witness = (
         MorphismMap(src, dst, search.witness) if found and search.witness else None
@@ -244,7 +222,13 @@ def _iso_signature(space: Space, x: int):
 
 
 def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
-    """True when a bijective structure map with structure-map inverse exists."""
+    """True when some structure map is a bijection whose inverse is also a
+    structure map.
+
+    After a size, point-signature and height prefilter this is the
+    surjective search restricted to signature-matching candidates; between
+    spaces of equal size its coverage bound admits only bijections.
+    """
     if a.n != b.n:
         return False
     if a.n == 0:
@@ -255,7 +239,7 @@ def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
         return False
     if a.poset.height() != b.poset.height():
         return False
-    search = _Search(a, b, budget, bijective=True)
+    search = _Search(a, b, budget)
     # Refine candidates: identical point signatures only.
     for x in range(a.n):
         mask = 0
@@ -264,6 +248,12 @@ def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
             if _iso_signature(b, t) == sx:
                 mask |= 1 << t
         search.cand[x] = mask
+    # Any structure map phi the search finds now is an isomorphism.  Being
+    # order preserving and a bijection, phi sends down(x) into down(phi x), so
+    # |down(phi x)| >= |down x| for every x.  The signatures give both spaces
+    # the same sorted down-set sizes, so the two sums are equal and each
+    # inequality is an equality: phi(down x) = down(phi x).  Hence phi also
+    # reflects the order, and its inverse is a structure map.
     return search.run()
 
 

@@ -34,6 +34,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def canonical_key(s: frozenset[int]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the canonical set order: cardinality, then sorted elements."""
+    return len(s), tuple(sorted(s))
+
+
 @total_ordering
 class Distance:
     """Length of a shortest comparability path, or infinity.
@@ -358,7 +363,7 @@ class Poset:
                 f"more than {limit} downsets; raise the limit to proceed"
             )
         sets = [self.set_of(m) for m in found]
-        sets.sort(key=lambda s: (len(s), tuple(sorted(s))))
+        sets.sort(key=canonical_key)
         return sets
 
     def covers(self) -> list[tuple[int, int]]:

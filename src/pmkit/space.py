@@ -151,8 +151,3 @@ class Space:
                 ):
                     return False
         return True
-
-
-def validate(poset: Poset, zeta: Sequence[int]) -> SpaceKind:
-    """Construct-and-classify helper: raises on an illegal involution."""
-    return Space(poset, zeta).kind()

@@ -14,7 +14,7 @@ from typing import Iterable
 from . import catalog
 from .algebra import Algebra, dual_algebra
 from .errors import BadParams, Overflow
-from .order import DOWNSET_LIMIT
+from .order import DOWNSET_LIMIT, canonical_key
 
 
 from dataclasses import dataclass
@@ -57,7 +57,7 @@ def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> Clos
         fresh -= generated
         generated |= fresh
         worklist = list(fresh)
-    out = sorted(generated, key=lambda s: (len(s), tuple(sorted(s))))
+    out = sorted(generated, key=canonical_key)
     return ClosureResult(tuple(out), len(gens), ops)
 
 
@@ -119,8 +119,5 @@ def crown_bound_check(n: int, generators: int) -> bool:
     ceiling = crown_bound_ceiling(generators)
     if generators == 0:
         return len(generate_subalgebra(algebra, [])) <= ceiling
-    if len(algebra) > ceiling:
-        return False
-    return all(
-        len(generate_subalgebra(algebra, [xs])) <= ceiling for xs in algebra.elements
-    )
+    # Every one-generator closure is a subset of the algebra.
+    return len(algebra) <= ceiling

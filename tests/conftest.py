@@ -1,6 +1,6 @@
 import pytest
 
-from pmkit import catalog
+from pmkit import Poset, Space, catalog, dual_algebra, generate_subalgebra
 
 
 def small_catalog():
@@ -31,3 +31,16 @@ def catalog_spaces():
 @pytest.fixture(scope="session")
 def regular_spaces():
     return regular_small_catalog()
+
+
+@pytest.fixture(scope="session")
+def field_of_subsets():
+    """``field_of_subsets(k, generators)``: the least field of subsets of
+    ``range(k)`` containing the generators, generated in the dual algebra
+    of the discrete space on ``k`` points (star and prime both complement)."""
+
+    def close(k, generators):
+        discrete = dual_algebra(Space(Poset.antichain(k), range(k)))
+        return generate_subalgebra(discrete, generators).generated
+
+    return close

@@ -1,12 +1,31 @@
 """The verification gate: every criterion runs at its exact tolerance.
 
-One test per criterion; each prints a PASS/FAIL line so a verbose run reads
-as a report.  All comparisons are exact (booleans, counts, set equalities).
+One test per criterion; each prints its PASS/FAIL line, so a verbose run
+reads as a report, and compares it with the expected ``verify-paper`` line,
+detail included.  All comparisons are exact (booleans, counts, set
+equalities).
 """
 
 import pytest
 
 from pmkit import acceptance
+
+EXPECTED_LINES = [
+    "criterion  1 PASS membership formula vs search sweep (484 parameter tuples)",
+    "criterion  2 PASS distance form of the range iterates (9785 (space, element, k) triples)",
+    "criterion  3 PASS range equals width (32 spaces)",
+    "criterion  4 PASS simplicity iff two congruences (32 spaces)",
+    "criterion  5 PASS fourteen subvarieties of the small simples (14 subvarieties, decompositions match)",
+    "criterion  6 PASS Kleene chain prefix (T < L0 < L2 < L5 < L6(0,3) < L6(0,4) < L6(0,5))",
+    "criterion  7 PASS diagonal rigidity (9 pairs, formula and search agree)",
+    "criterion  8 PASS crown rigidity (9 pairs)",
+    "criterion  9 PASS one-generator growth (growth(5)=77, growth(6)=145, growth(7)=277, growth(8)=537)",
+    "criterion 10 PASS single-generator closure ceiling (max closure 8 <= 48)",
+    "criterion 11 PASS closed subalgebra families (five families closed)",
+    "criterion 12 PASS duality round trip (33 spaces)",
+    "criterion 13 PASS regularity quadruple agreement (33 spaces (non-regular control included))",
+    "criterion 14 PASS four-clause surjectivity criteria (142016 equivariant maps)",
+]
 
 
 @pytest.mark.parametrize(
@@ -16,5 +35,7 @@ from pmkit import acceptance
 )
 def test_criterion(number, title, func):
     ok, detail = func()
-    print(f"criterion {number:2d} {'PASS' if ok else 'FAIL'} {title} ({detail})")
+    line = f"criterion {number:2d} {'PASS' if ok else 'FAIL'} {title} ({detail})"
+    print(line)
     assert ok, f"criterion {number} ({title}): {detail}"
+    assert line == EXPECTED_LINES[number - 1]

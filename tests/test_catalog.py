@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from pmkit import catalog, dual_algebra, is_pm_isomorphic
-from pmkit.catalog import boolean_closure
 from pmkit.errors import (
     BadParams,
     IndexOutOfRange,
@@ -184,8 +183,8 @@ def test_kf_q6_full_powerset_count():
         assert len(members) == len(dual_algebra(catalog.q6(n, n)))
 
 
-def test_kf_q6_closed_and_fixed_under_generation():
-    family = boolean_closure(range(4), [fs(0)])
+def test_kf_q6_closed_and_fixed_under_generation(field_of_subsets):
+    family = field_of_subsets(4, [fs(0)])
     members = catalog.kf_subalgebra_q6(2, 4, family)
     algebra = dual_algebra(catalog.q6(2, 4))
     assert is_closed_family(algebra, members)
@@ -212,8 +211,8 @@ def test_kf_crown_full_powersets():
     assert is_closed_family(dual_algebra(catalog.crown_pair(2)), members)
 
 
-def test_kf_crown_paired_singleton_enforced():
-    lopsided = boolean_closure((0, 1), [fs(0)])
+def test_kf_crown_paired_singleton_enforced(field_of_subsets):
+    lopsided = field_of_subsets(2, [fs(0)])
     with pytest.raises(PairedSingletonViolation):
         catalog.kf_subalgebra_crown(2, lopsided, [fs(), fs(2, 3)])
 

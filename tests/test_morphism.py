@@ -148,8 +148,14 @@ def test_search_agrees_with_enumeration():
 
 def test_iso_agrees_with_permutation_enumeration():
     """The isomorphism search agrees with checking every bijection."""
-    tokens = ["q1", "q2", "q3", "q4", "q5", "q6:0,3", "q6:2,3"]
+    tokens = ["q1", "q2", "q3", "q4", "q5", "q6:0,3", "q6:2,3", "chain3"]
     spaces = [catalog.named_space(t)[0] for t in tokens]
+    # Height 2: a diamond maps bijectively onto a chain by a structure map,
+    # yet the two are not isomorphic.
+    diamond = Space(Poset.from_pairs(4, [(2, 0), (2, 1), (0, 3), (1, 3)]), (1, 0, 3, 2))
+    chain = Space(Poset.from_pairs(4, [(0, 3), (3, 2), (2, 1)]), (1, 0, 3, 2))
+    assert check_pm_morphism(diamond, chain, (2, 3, 0, 1)).ok
+    spaces += [diamond, chain]
     for a in spaces:
         for b in spaces:
             if a.n != b.n:

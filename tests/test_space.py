@@ -2,7 +2,7 @@
 
 import pytest
 
-from pmkit import Distance, Poset, Space, catalog, validate
+from pmkit import Distance, Poset, Space, catalog
 from pmkit.errors import InvolutionBroken, NotRegular, OrderReversalBroken
 
 
@@ -23,7 +23,7 @@ def test_order_reversal_rejected():
 
 
 def test_validate_q2():
-    kind = validate(Poset.chain(2), (1, 0))
+    kind = Space(Poset.chain(2), (1, 0)).kind()
     assert kind.regular and kind.kleene and kind.zeta_width == 0
 
 

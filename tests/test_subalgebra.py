@@ -60,10 +60,8 @@ def test_closure_operator_laws():
         assert again == close_small
 
 
-def test_closure_of_closed_family_is_fixpoint():
-    members = catalog.kf_subalgebra_q6(
-        2, 4, catalog.boolean_closure(range(4), [fs(0, 1)])
-    )
+def test_closure_of_closed_family_is_fixpoint(field_of_subsets):
+    members = catalog.kf_subalgebra_q6(2, 4, field_of_subsets(4, [fs(0, 1)]))
     algebra = dual_algebra(catalog.q6(2, 4))
     result = generate_subalgebra(algebra, members)
     assert set(result.generated) == set(members)
@@ -120,7 +118,7 @@ def test_single_generator_closures_within_ceiling():
                 assert len(generate_subalgebra(algebra, [xs])) <= ceiling
 
 
-def test_single_generator_closure_lands_in_recipe_family():
+def test_single_generator_closure_lands_in_recipe_family(field_of_subsets):
     """Every one-generator closure embeds in the closed family built from
     the generator's traces on the minimal level."""
     space = catalog.q6(2, 4)
@@ -131,7 +129,7 @@ def test_single_generator_closure_lands_in_recipe_family():
             xs & minimal_level,
             frozenset(space.zeta[i] for i in xs if space.zeta[i] in minimal_level),
         ]
-        family = catalog.boolean_closure(range(4), traces)
+        family = field_of_subsets(4, traces)
         members = set(catalog.kf_subalgebra_q6(2, 4, family))
         closure = generate_subalgebra(algebra, [xs])
         assert set(closure.generated) <= members
@@ -141,6 +139,7 @@ def test_crown_bound_check():
     assert crown_bound_check(2, 0)
     assert crown_bound_check(2, 1)
     assert crown_bound_check(3, 1)
+    assert crown_bound_check(4, 1)
     with pytest.raises(BadParams):
         crown_bound_check(5, 1)
     with pytest.raises(BadParams):
