@@ -11,9 +11,9 @@ from pmkit import catalog, l6_member, l6_member_oracle, search_surjective
 from pmkit.variety import SimpleRef, subvariety_lattice
 
 # Search with a witness.
-report = search_surjective(catalog.q6(0, 3), catalog.q(5))
-names_src = catalog.q6_names(0, 3)
-names_dst = catalog.q_names(5)
+src, names_src = catalog.named_space("q6:0,3")
+dst, names_dst = catalog.named_space("q5")
+report = search_surjective(src, dst)
 print("q6(0,3) onto q5:", report.found)
 print("witness:", {names_src[x]: names_dst[t] for x, t in enumerate(report.witness.mapping)})
 

@@ -174,30 +174,10 @@ class Algebra:
         family is closed under union and intersection, so it is exactly the
         set of unions of the per-point generated sets.
         """
-        n = self.space.n
-        gens = [self._congruence_generator(x) for x in range(n)]
-        # y generates below x <=> y lies in x's generated set; quotient the
-        # resulting preorder and read the family off as its downsets.
-        classes: list[frozenset[int]] = []
-        class_of = {}
-        for x in range(n):
-            block = frozenset(y for y in range(n) if x in gens[y] and y in gens[x])
-            if block not in class_of:
-                class_of[block] = len(classes)
-                classes.append(block)
-        rep = [class_of[next(b for b in classes if x in b)] for x in range(n)]
-        pairs = {(rep[y], rep[x]) for x in range(n) for y in gens[x]}
-        quotient = Poset.from_pairs(len(classes), pairs)
-        out = set()
-        for downset in quotient.downsets():
-            members: frozenset[int] = frozenset()
-            for c in downset:
-                members |= classes[c]
-            out.add(members)
-        return tuple(sorted(out, key=canonical_key))
-
-    def is_simple_algebra(self) -> bool:
-        return len(self.congruence_sets()) == 2
+        found = {frozenset()}
+        for gen in {self._congruence_generator(x) for x in range(self.space.n)}:
+            found |= {xs | gen for xs in found}
+        return tuple(sorted(found, key=canonical_key))
 
     # -- duality round trip ----------------------------------------------------
 

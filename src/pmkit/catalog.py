@@ -18,6 +18,11 @@ Index conventions (also used for the printable element names):
   Every ``a_i`` is below every ``zeta(a_j)``, every ``b_i`` below every
   ``zeta(b_j)``, and the mixed relations hold exactly when the indices
   differ.
+
+``named_space`` resolves a catalog token to a space and its element names.
+The parametrised families are read off one token table, ``FAMILIES``,
+which maps ``q6``, ``grid`` and ``crown`` to the constructor, its arity, the
+name prefix of each block of points and the usage text of its errors.
 """
 
 from __future__ import annotations
@@ -57,17 +62,6 @@ def q(i: int) -> Space:
     raise IndexOutOfRange(f"q(i) requires 0 <= i <= 5, got {i}")
 
 
-def q_names(i: int) -> tuple[str, ...]:
-    return {
-        0: ("p",),
-        1: ("x", "zx"),
-        2: ("x", "zx"),
-        3: ("a", "b", "zb", "za"),
-        4: ("x", "y", "zx", "zy"),
-        5: ("x", "y", "zx", "zy"),
-    }[i]
-
-
 def q6(m: int, n: int) -> Space:
     """Two-level bipartite space on 2n points; the first ``m`` minimals are
     exactly the ones not below their own involution image."""
@@ -82,10 +76,6 @@ def q6(m: int, n: int) -> Space:
     return Space(Poset.from_pairs(2 * n, pairs), zeta)
 
 
-def q6_names(m: int, n: int) -> tuple[str, ...]:
-    return tuple(f"s{i}" for i in range(n)) + tuple(f"zs{i}" for i in range(n))
-
-
 def range2_grid(n: int) -> Space:
     """Grid family of width 2: ``x_i < y_j`` unless the indices are adjacent."""
     if n < 5:
@@ -97,10 +87,6 @@ def range2_grid(n: int) -> Space:
                 pairs.append((i, n + j))
     zeta = tuple(range(n, 2 * n)) + tuple(range(n))
     return Space(Poset.from_pairs(2 * n, pairs), zeta)
-
-
-def range2_grid_names(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(n)) + tuple(f"y{i}" for i in range(n))
 
 
 def crown_pair(n: int) -> Space:
@@ -119,22 +105,9 @@ def crown_pair(n: int) -> Space:
     return Space(Poset.from_pairs(4 * n, pairs), zeta)
 
 
-def crown_pair_names(n: int) -> tuple[str, ...]:
-    return (
-        tuple(f"a{i}" for i in range(n))
-        + tuple(f"b{i}" for i in range(n))
-        + tuple(f"za{i}" for i in range(n))
-        + tuple(f"zb{i}" for i in range(n))
-    )
-
-
 def nonregular_chain3() -> Space:
     """Three-chain with the endpoints swapped: a valid space of height 2."""
     return Space(Poset.chain(3), (2, 1, 0))
-
-
-def chain3_names() -> tuple[str, ...]:
-    return ("a", "b", "c")
 
 
 def disjoint_union(a: Space, b: Space) -> Space:
@@ -172,6 +145,20 @@ def _check_boolean_subalgebra(family, ground: frozenset[int]):
     return sets
 
 
+def _closed_family(space: Space, sets, ground, allowed) -> list[frozenset[int]]:
+    """The field ``sets``, each member's image joined with ``ground``, and the
+    principal downsets of the images of the singletons inside ``allowed``."""
+    members = set(sets)
+    for xs in sets:
+        members.add(space.zeta_image(xs) | ground)
+        if len(xs) == 1 and xs <= allowed:
+            (x,) = xs
+            members.add(space.poset.down_closure([space.zeta[x]]))
+    out = sorted(members, key=canonical_key)
+    assert all(space.poset.is_decreasing(s) for s in out)
+    return out
+
+
 def kf_subalgebra_q6(m: int, n: int, family) -> list[frozenset[int]]:
     """Closed three-part family on ``q6(m, n)`` built from a field of subsets
     of the minimal level: the field itself, each member's image joined with
@@ -180,17 +167,7 @@ def kf_subalgebra_q6(m: int, n: int, family) -> list[frozenset[int]]:
     space = q6(m, n)
     ground = frozenset(range(n))
     sets = _check_boolean_subalgebra(family, ground)
-    members = set(sets)
-    for xs in sets:
-        members.add(frozenset(n + i for i in xs) | ground)
-    for xs in sets:
-        if len(xs) == 1:
-            (x,) = xs
-            if x < m:
-                members.add(space.poset.down_closure([n + x]))
-    out = sorted(members, key=canonical_key)
-    assert all(space.poset.is_decreasing(s) for s in out)
-    return out
+    return _closed_family(space, sets, ground, frozenset(range(m)))
 
 
 def kf_subalgebra_crown(n: int, family_a, family_b) -> list[frozenset[int]]:
@@ -212,19 +189,30 @@ def kf_subalgebra_crown(n: int, family_a, family_b) -> list[frozenset[int]]:
             )
     ground = ground_a | ground_b
     sets = {ya | zb for ya in sets_a for zb in sets_b}
-    members = set(sets)
-    for xs in sets:
-        members.add(frozenset(2 * n + i for i in xs) | ground)
-    for xs in sets:
-        if len(xs) == 1:
-            (x,) = xs
-            members.add(space.poset.down_closure([2 * n + x]))
-    out = sorted(members, key=canonical_key)
-    assert all(space.poset.is_decreasing(s) for s in out)
-    return out
+    return _closed_family(space, sets, ground, ground)
 
 
 # -- name registry ----------------------------------------------------------
+
+
+#: Token table of the parametrised families, keyed by the part before ``:``.
+#: Each entry holds the constructor, its arity, the name prefix of each block
+#: of n points (n is the last parameter) and the usage text of a bad token.
+FAMILIES = {
+    "q6": (q6, 2, ("s", "zs"), "q6:m,n with integers"),
+    "grid": (range2_grid, 1, ("x", "y"), "grid:n with an integer"),
+    "crown": (crown_pair, 1, ("a", "b", "za", "zb"), "crown:n with an integer"),
+}
+
+#: Printable element names of ``q(0)`` .. ``q(5)``.
+_Q_NAMES = (
+    ("p",),
+    ("x", "zx"),
+    ("x", "zx"),
+    ("a", "b", "zb", "za"),
+    ("x", "y", "zx", "zy"),
+    ("x", "y", "zx", "zy"),
+)
 
 
 def named_space(token: str) -> tuple[Space, tuple[str, ...]]:
@@ -232,28 +220,19 @@ def named_space(token: str) -> tuple[Space, tuple[str, ...]]:
     ``crown:n``, ``chain3``) to a space plus printable element names."""
     token = token.strip()
     if token == "chain3":
-        return nonregular_chain3(), chain3_names()
-    if token.startswith("q6:"):
+        return nonregular_chain3(), ("a", "b", "c")
+    prefix, colon, params = token.partition(":")
+    if colon and prefix in FAMILIES:
+        build, arity, prefixes, usage = FAMILIES[prefix]
         try:
-            m_str, n_str = token[3:].split(",")
-            m, n = int(m_str), int(n_str)
+            args = tuple(int(p) for p in params.split(","))
         except ValueError:
-            raise BadParams(f"expected q6:m,n with integers, got {token!r}") from None
-        return q6(m, n), q6_names(m, n)
-    if token.startswith("grid:"):
-        try:
-            n = int(token[5:])
-        except ValueError:
-            raise BadParams(f"expected grid:n with an integer, got {token!r}") from None
-        return range2_grid(n), range2_grid_names(n)
-    if token.startswith("crown:"):
-        try:
-            n = int(token[6:])
-        except ValueError:
-            raise BadParams(f"expected crown:n with an integer, got {token!r}") from None
-        return crown_pair(n), crown_pair_names(n)
-    if len(token) == 2 and token[0] == "q" and token[1].isdigit():
-        i = int(token[1])
-        if 0 <= i <= 5:
-            return q(i), q_names(i)
+            args = ()
+        if len(args) != arity:
+            raise BadParams(f"expected {usage}, got {token!r}")
+        space = build(*args)
+        return space, tuple(f"{p}{i}" for p in prefixes for i in range(args[-1]))
+    for i, names in enumerate(_Q_NAMES):
+        if token == f"q{i}":
+            return q(i), names
     raise BadParams(f"unknown catalog token {token!r}")

@@ -54,8 +54,7 @@ def resolve_space(token: str) -> NamedSpace:
             ) from None
         if text is not None:
             return parse_space(text)
-        looks_like_catalog = token.startswith(("q6:", "grid:", "crown:"))
-        if looks_like_catalog:
+        if token.startswith(tuple(f"{family}:" for family in catalog.FAMILIES)):
             raise exc
         raise PmkitError(
             f"{token!r} is neither a catalog token nor an existing file"

@@ -165,7 +165,6 @@ class _Search:
             return False
         x = self.order[pos]
         zx = self.src.zeta[x]
-        unassigned = n - len(self.assigned)
         for t in iter_bits(self.cand[x]):
             self.nodes += 1
             if self.nodes > self.budget:
@@ -233,21 +232,19 @@ def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
         return False
     if a.n == 0:
         return True
-    sig_a = sorted(_iso_signature(a, x) for x in range(a.n))
-    sig_b = sorted(_iso_signature(b, x) for x in range(b.n))
-    if sig_a != sig_b:
+    sig_a = [_iso_signature(a, x) for x in range(a.n)]
+    sig_b = [_iso_signature(b, t) for t in range(b.n)]
+    if sorted(sig_a) != sorted(sig_b):
         return False
     if a.poset.height() != b.poset.height():
         return False
     search = _Search(a, b, budget)
     # Refine candidates: identical point signatures only.
+    with_sig = {}
+    for t, sig in enumerate(sig_b):
+        with_sig[sig] = with_sig.get(sig, 0) | 1 << t
     for x in range(a.n):
-        mask = 0
-        sx = _iso_signature(a, x)
-        for t in iter_bits(search.cand[x]):
-            if _iso_signature(b, t) == sx:
-                mask |= 1 << t
-        search.cand[x] = mask
+        search.cand[x] &= with_sig[sig_a[x]]
     # Any structure map phi the search finds now is an isomorphism.  Being
     # order preserving and a bijection, phi sends down(x) into down(phi x), so
     # |down(phi x)| >= |down x| for every x.  The signatures give both spaces

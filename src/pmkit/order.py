@@ -57,10 +57,6 @@ class Distance:
     def __setattr__(self, name, val):
         raise AttributeError("Distance is immutable")
 
-    @classmethod
-    def finite(cls, k: int) -> "Distance":
-        return cls(k)
-
     @property
     def is_finite(self) -> bool:
         return self.value is not None
@@ -277,22 +273,12 @@ class Poset:
         """Shortest-path distance between ``x`` and ``y``; infinite across components."""
         self._check(x)
         self._check(y)
-        bit_y = 1 << y
-        for level, frontier in self._frontiers(1 << x):
-            if frontier & bit_y:
-                return Distance(level)
-        return INFINITE
+        return self.distance_levels((x,))[y]
 
     def distance_to_set(self, x: int, xs: Iterable[int]) -> Distance:
         """Least distance from ``x`` to a member of ``xs``; infinite for the empty set."""
         self._check(x)
-        target = self.mask_of(xs)
-        if not target:
-            return INFINITE
-        for level, frontier in self._frontiers(1 << x):
-            if frontier & target:
-                return Distance(level)
-        return INFINITE
+        return self.distance_levels(xs)[x]
 
     def distance_levels(self, xs: Iterable[int]) -> list[Distance]:
         """Distance of every element from the set ``xs``, in one sweep."""
@@ -310,12 +296,11 @@ class Poset:
         self._check(x)
         if radius < 0:
             raise IndexOutOfRange("radius must be a natural number")
-        mask = 0
-        for level, frontier in self._frontiers(1 << x):
-            if level > radius:
-                break
-            mask |= frontier
-        return self.set_of(mask)
+        return frozenset(
+            y
+            for y, d in enumerate(self.distance_levels((x,)))
+            if d.is_finite and d.value <= radius
+        )
 
     def order_components(self) -> tuple[frozenset[int], ...]:
         """Connected components of the comparability graph, by least element."""

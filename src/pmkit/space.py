@@ -9,7 +9,7 @@ assume a legal space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -101,15 +101,23 @@ class Space:
         """min of the distances from ``x`` to ``y`` and to ``zeta(y)``."""
         return min(self.poset.distance(x, y), self.poset.distance(x, self.zeta[y]))
 
+    def _zeta_rows(self) -> Iterator[list[Distance]]:
+        """Row ``x`` holds the zeta-distance from ``x`` to every point.
+
+        zeta reverses the order, so it keeps comparable pairs comparable and
+        is an automorphism of the comparability graph: d(x, zeta y) equals
+        d(zeta x, y).  One sweep from ``{x, zeta x}`` therefore yields
+        min(d(x, y), d(x, zeta y)) for every ``y``.
+        """
+        for x in range(self.n):
+            yield self.poset.distance_levels((x, self.zeta[x]))
+
     def zeta_width(self) -> int:
         """The largest finite zeta-distance between two points (0 if none)."""
-        width = 0
-        for x in range(self.n):
-            for y in range(x, self.n):
-                d = self.zeta_distance(x, y)
-                if d.is_finite and d.value > width:
-                    width = d.value
-        return width
+        return max(
+            (d.value for row in self._zeta_rows() for d in row if d.is_finite),
+            default=0,
+        )
 
     def kind(self) -> SpaceKind:
         return SpaceKind(
@@ -143,11 +151,4 @@ class Space:
             raise NotRegular("the empty space has a trivial dual algebra")
         if not self.is_regular():
             raise NotRegular("membership test requires height <= 1")
-        for x in range(self.n):
-            for y in range(self.n):
-                if not (
-                    self.poset.distance(x, y) <= bound
-                    or self.poset.distance(x, self.zeta[y]) <= bound
-                ):
-                    return False
-        return True
+        return all(d <= bound for row in self._zeta_rows() for d in row)

@@ -230,8 +230,18 @@ def test_congruence_sets_union():
 
 def test_congruence_sets_brute_force(catalog_spaces):
     """Against direct enumeration of all involution-closed sets whose
-    minimal part is up-closed."""
-    for name, space in catalog_spaces:
+    minimal part is up-closed; the disjoint unions are not simple, so their
+    families have more than the two trivial members."""
+    union = catalog.disjoint_union
+    unions = [
+        ("q2+q2", union(catalog.q(2), catalog.q(2))),
+        ("q1+q3", union(catalog.q(1), catalog.q(3))),
+        ("q0+q0+q1", union(union(catalog.q(0), catalog.q(0)), catalog.q(1))),
+        ("q3+q4", union(catalog.q(3), catalog.q(4))),
+        ("q2+chain3", union(catalog.q(2), catalog.nonregular_chain3())),
+    ]
+    sizes = {}
+    for name, space in catalog_spaces + unions:
         if space.n > 8:
             continue
         p = space.poset
@@ -245,6 +255,8 @@ def test_congruence_sets_brute_force(catalog_spaces):
                 continue
             brute.add(members)
         assert set(dual_algebra(space).congruence_sets()) == brute, name
+        sizes[name] = len(brute)
+    assert all(sizes[name] > 2 for name, _ in unions)
 
 
 def test_congruence_sets_also_down_closed_on_maximals(catalog_spaces):

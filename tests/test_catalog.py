@@ -225,12 +225,35 @@ def test_named_space_tokens():
         space, names = catalog.named_space(token)
         assert len(names) == space.n
         assert len(set(names)) == space.n
+    expected = {
+        "q3": ("a", "b", "zb", "za"),
+        "q6:1,3": ("s0", "s1", "s2", "zs0", "zs1", "zs2"),
+        "grid:5": ("x0", "x1", "x2", "x3", "x4", "y0", "y1", "y2", "y3", "y4"),
+        "crown:2": ("a0", "a1", "b0", "b1", "za0", "za1", "zb0", "zb1"),
+        "chain3": ("a", "b", "c"),
+    }
+    for token, names in expected.items():
+        assert catalog.named_space(token)[1] == names, token
 
 
 def test_named_space_rejects_junk():
-    for token in ["q9", "grid:x", "q6:1", "nothing"]:
-        with pytest.raises(BadParams):
+    expected = {
+        "q9": "unknown catalog token 'q9'",
+        "nothing": "unknown catalog token 'nothing'",
+        "q6": "unknown catalog token 'q6'",
+        "q\u00b2": "unknown catalog token 'q\u00b2'",
+        "q\u0663": "unknown catalog token 'q\u0663'",
+        "grid:x": "expected grid:n with an integer, got 'grid:x'",
+        "grid:5,6": "expected grid:n with an integer, got 'grid:5,6'",
+        "crown:x": "expected crown:n with an integer, got 'crown:x'",
+        "q6:1": "expected q6:m,n with integers, got 'q6:1'",
+        "q6:1,4,": "expected q6:m,n with integers, got 'q6:1,4,'",
+        "q6:9,2": "q6 requires n >= 3 and 0 <= m <= n, got (9, 2)",
+    }
+    for token, message in expected.items():
+        with pytest.raises(BadParams) as caught:
             catalog.named_space(token)
+        assert str(caught.value) == message, token
 
 
 def test_every_catalog_space_validates(catalog_spaces):

@@ -209,6 +209,16 @@ def test_bad_catalog_params_reported(capsys):
     code, _, err = run(capsys, "kind", "q6:9,2")
     assert code == 2
     assert "BadParams" in err
+    code, _, err = run(capsys, "kind", "crown:x")
+    assert code == 2
+    assert "expected crown:n with an integer" in err
+
+
+def test_family_name_without_colon_is_not_a_catalog_token(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "kind", "q6")
+    assert code == 2
+    assert "neither a catalog token nor an existing file" in err
 
 
 def test_verify_paper_exit_codes(capsys, monkeypatch):

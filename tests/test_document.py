@@ -85,8 +85,7 @@ def test_parse_surfaces_involution_break():
 
 
 def test_hand_written_crown_matches_catalog():
-    names = catalog.crown_pair_names(2)
-    space = catalog.crown_pair(2)
+    space, names = catalog.named_space("crown:2")
     doc = {
         "elements": list(names),
         "leq": [

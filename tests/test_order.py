@@ -143,14 +143,24 @@ def test_distance_across_components_infinite():
 
 @pytest.mark.parametrize("token", ["q2", "q3", "q5", "q6:1,3", "grid:5", "crown:2", "chain3"])
 def test_distance_matches_floyd_warshall(token):
+    """Pairwise and set distances and balls, against the oracle."""
     space, _ = catalog.named_space(token)
     p = space.poset
     oracle = floyd_warshall(p)
+    targets = [range(k) for k in range(p.n + 1)]
+    targets += [(y, space.zeta[y]) for y in range(p.n)]
     for x in range(p.n):
         for y in range(p.n):
             got = p.distance(x, y)
             want = INFINITE if oracle[x][y] is None else Distance(oracle[x][y])
             assert got == want
+        for xs in targets:
+            finite = [oracle[x][y] for y in xs if oracle[x][y] is not None]
+            want = Distance(min(finite)) if finite else INFINITE
+            assert p.distance_to_set(x, xs) == want
+        for radius in range(4):
+            near = [d is not None and d <= radius for d in oracle[x]]
+            assert p.ball(x, radius) == frozenset(y for y in range(p.n) if near[y])
 
 
 @pytest.mark.parametrize("token", ["q5", "q6:2,4", "grid:5", "crown:2"])

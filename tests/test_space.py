@@ -165,6 +165,29 @@ def test_simple_in_mn_decomposes(regular_spaces):
             assert space.simple_in_mn(bound) == expected
 
 
+def test_width_and_mn_match_pairwise_definitions(regular_spaces):
+    """One distance sweep per point gives what the pairwise definitions
+    give, also where points lie in different components."""
+    union = catalog.disjoint_union(catalog.q(3), catalog.range2_grid(5))
+    assert not union.poset.distance(0, union.n - 1).is_finite
+    for name, space in regular_spaces + [("q3+grid:5", union)]:
+        n, p, zeta = space.n, space.poset, space.zeta
+        finite = [
+            d.value
+            for x in range(n)
+            for y in range(n)
+            if (d := space.zeta_distance(x, y)).is_finite
+        ]
+        assert space.zeta_width() == max(finite, default=0), name
+        for bound in range(4):
+            pairwise = all(
+                p.distance(x, y) <= bound or p.distance(x, zeta[y]) <= bound
+                for x in range(n)
+                for y in range(n)
+            )
+            assert space.simple_in_mn(bound) == pairwise, (name, bound)
+
+
 def test_kleene_flag_definition(catalog_spaces):
     for _, space in catalog_spaces:
         expected = all(
