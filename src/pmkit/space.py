@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    BadParams,
     IndexOutOfRange,
     InvolutionBroken,
     NotRegular,
@@ -147,6 +148,8 @@ class Space:
 
     def simple_in_mn(self, bound: int) -> bool:
         """Pairwise test: every pair is within ``bound`` of the other or its image."""
+        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+            raise BadParams(f"bound must be a natural number, got {bound!r}")
         if self.n == 0:
             raise NotRegular("the empty space has a trivial dual algebra")
         if not self.is_regular():

@@ -1,28 +1,32 @@
 """Subalgebra generation by closure, and finiteness/growth experiments.
 
-The closure operator keeps a worklist of fresh elements and applies the two
-unary operations to them and the two lattice operations against everything
-already generated, until nothing new appears.  Growth experiments on the
-width-2 grid family show one generator producing at least ``n`` elements,
-the finite shadow of a free algebra being infinite.
+The closure works on bitmasks through the least generated member containing
+each point.  Those least members fix the generated {0,1}-sublattice (its
+members are exactly their unions), so closing under the two unary
+operations only needs each distinct least member checked once, and the
+members are listed by unions at the end.  Growth experiments on the width-2
+grid family show one generator producing at least ``n`` elements, the
+finite shadow of a free algebra being infinite.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import catalog
 from .algebra import Algebra, dual_algebra
 from .errors import BadParams, Overflow
-from .order import DOWNSET_LIMIT, canonical_key
-
-
-from dataclasses import dataclass
+from .order import DOWNSET_LIMIT, canonical_key, iter_bits
 
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """A generated subalgebra, in canonical element order."""
+    """A generated subalgebra, in canonical element order.
+
+    ``op_applications`` counts the star and prime evaluations and the joins
+    made by the closure.
+    """
 
     generated: tuple[frozenset[int], ...]
     generator_count: int
@@ -36,28 +40,47 @@ def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> Clos
     """Least subset of the algebra containing the generators and constants,
     closed under meet, join, pseudocomplement and the de Morgan operation."""
     gens = [algebra.check_element(g) for g in gens]
-    generated: set[frozenset[int]] = {algebra.zero, algebra.one}
-    generated.update(gens)
-    worklist = list(generated)
+    space = algebra.space
+    poset = space.poset
+    top = poset.all_mask
+    up = [poset.up_mask(x) for x in range(space.n)]
+    zeta_bits = [1 << z for z in space.zeta]
+    # least[i] is the least generated member containing point i: the meet of
+    # the top and every generator containing i (Birkhoff).  The generated
+    # {0,1}-sublattice is exactly the set of unions of these blocks (0 is the
+    # empty union, the top the union of all):
+    # k in least[i] gives least[k] <= least[i], so meets of unions are again
+    # unions, and a mask y is a member iff least[i] <= y for every i in y.
+    least = [top] * space.n
+    checked: set[int] = set()
     ops = 0
-    while worklist:
-        fresh: set[frozenset[int]] = set()
-        snapshot = list(generated)
-        for xs in worklist:
-            for unary in (algebra.star, algebra.prime):
-                ops += 1
-                ys = unary(xs)
-                if ys not in generated:
-                    fresh.add(ys)
-            for others in snapshot:
-                ops += 2
-                for zs in (xs & others, xs | others):
-                    if zs not in generated:
-                        fresh.add(zs)
-        fresh -= generated
-        generated |= fresh
-        worklist = list(fresh)
-    out = sorted(generated, key=canonical_key)
+
+    def refine(g: int) -> None:
+        for i in iter_bits(g):
+            least[i] &= g
+
+    for g in gens:
+        refine(poset.mask_of(g))
+    # Star and prime turn joins into meets ((a | b)* = a* & b* and
+    # (a | b)' = a' & b'), so the lattice is closed under both once the
+    # images of every block are members.  Members only accumulate, so a
+    # block that passed once stays passed.
+    while fresh := set(least) - checked:
+        for block in fresh:
+            checked.add(block)
+            covered = image = 0
+            for i in iter_bits(block):
+                covered |= up[i]
+                image |= zeta_bits[i]
+            ops += 2
+            for y in (top & ~covered, top & ~image):
+                if any(least[i] & ~y for i in iter_bits(y)):
+                    refine(y)
+    found = {0}
+    for block in set(least):
+        ops += len(found)
+        found |= {f | block for f in found}
+    out = sorted((poset.set_of(f) for f in found), key=canonical_key)
     return ClosureResult(tuple(out), len(gens), ops)
 
 

@@ -175,9 +175,9 @@ def test_subalg_rejects_unknown_names(capsys):
 
 
 def test_grow(capsys):
-    code, out, _ = run(capsys, "grow", "5")
+    code, out, _ = run(capsys, "grow", "12")
     assert code == 0
-    assert "size:" in out
+    assert "size: 8233" in out
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -3,7 +3,7 @@
 import pytest
 
 from pmkit import Distance, Poset, Space, catalog
-from pmkit.errors import InvolutionBroken, NotRegular, OrderReversalBroken
+from pmkit.errors import BadParams, InvolutionBroken, NotRegular, OrderReversalBroken
 
 
 # -- validation ------------------------------------------------------------------
@@ -154,6 +154,12 @@ def test_simple_in_mn_examples():
 def test_simple_in_mn_requires_regular():
     with pytest.raises(NotRegular):
         catalog.nonregular_chain3().simple_in_mn(2)
+
+
+@pytest.mark.parametrize("bound", [-1, 1.5, "2", None, True])
+def test_simple_in_mn_rejects_bad_bounds(bound):
+    with pytest.raises(BadParams, match="bound must be a natural number"):
+        catalog.q(5).simple_in_mn(bound)
 
 
 def test_simple_in_mn_decomposes(regular_spaces):

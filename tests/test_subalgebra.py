@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from pmkit import catalog, dual_algebra
+from pmkit import Poset, Space, acceptance, catalog, dual_algebra
 from pmkit.errors import BadParams, NotAnElement, Overflow
+from pmkit.order import canonical_key
 from pmkit.subalgebra import (
+    ClosureResult,
     crown_bound_check,
     generate_subalgebra,
     is_closed_family,
@@ -17,6 +19,58 @@ from pmkit.subalgebra import (
 
 def fs(*xs):
     return frozenset(xs)
+
+
+def saturate(algebra, gens):
+    """Reference closure by pairwise saturation: apply the unary operations
+    to every fresh element and meet and join it with everything generated
+    so far, until nothing new appears."""
+    gens = [algebra.check_element(g) for g in gens]
+    generated: set[frozenset[int]] = {algebra.zero, algebra.one}
+    generated.update(gens)
+    worklist = list(generated)
+    ops = 0
+    while worklist:
+        fresh: set[frozenset[int]] = set()
+        snapshot = list(generated)
+        for xs in worklist:
+            for unary in (algebra.star, algebra.prime):
+                ops += 1
+                ys = unary(xs)
+                if ys not in generated:
+                    fresh.add(ys)
+            for others in snapshot:
+                ops += 2
+                for zs in (xs & others, xs | others):
+                    if zs not in generated:
+                        fresh.add(zs)
+        fresh -= generated
+        generated |= fresh
+        worklist = list(fresh)
+    out = sorted(generated, key=canonical_key)
+    return ClosureResult(tuple(out), len(gens), ops)
+
+
+def random_pm_space(rng):
+    """A random order on ``k`` points glued below its order dual, zeta
+    swapping the two copies, plus up to two zeta-fixed points between them."""
+    k = rng.randint(1, 4)
+    fixed = rng.randint(0, min(2, 10 - 2 * k))
+    chain, glue = rng.choice((0.0, 0.3, 0.6)), rng.choice((0.0, 0.2, 0.5))
+    pairs = []
+    for i in range(k):
+        for j in range(k):
+            # i <= j in the lower copy, i <= zeta(j) across; each pair comes
+            # with its zeta-mirror so that zeta reverses the order.
+            if i < j and rng.random() < chain:
+                pairs += [(i, j), (k + j, k + i)]
+            if rng.random() < glue:
+                pairs += [(i, k + j), (j, k + i)]
+    for z in range(2 * k, 2 * k + fixed):
+        for i in rng.sample(range(k), rng.randint(0, k)):
+            pairs += [(i, z), (z, k + i)]
+    zeta = [k + i for i in range(k)] + list(range(k)) + list(range(2 * k, 2 * k + fixed))
+    return Space(Poset.from_pairs(2 * k + fixed, pairs), zeta)
 
 
 # -- closure basics ---------------------------------------------------------------
@@ -67,12 +121,39 @@ def test_closure_of_closed_family_is_fixpoint(field_of_subsets):
     assert set(result.generated) == set(members)
 
 
+def test_closure_matches_saturation_reference():
+    """Least-member closure equals pairwise saturation, element for element,
+    on the catalog and on seeded random pm-spaces."""
+    rng = random.Random(2024)
+    spaces = [space for _, space in acceptance.catalog_spaces()]
+    spaces += [random_pm_space(rng) for _ in range(150)]
+    tall = sum(space.poset.height() >= 2 for space in spaces)
+    with_fixed = sum(any(z == x for x, z in enumerate(space.zeta)) for space in spaces)
+    assert tall >= 20 and with_fixed >= 20
+    for space in spaces:
+        algebra = dual_algebra(space)
+        pool = list(algebra.elements)
+        gen_sets = [[]] + [[xs] for xs in rng.sample(pool, min(4, len(pool)))]
+        gen_sets += [rng.sample(pool, min(rng.randint(2, 3), len(pool))) for _ in range(3)]
+        for gens in gen_sets:
+            fast = generate_subalgebra(algebra, gens)
+            slow = saturate(algebra, gens)
+            assert fast.generated == slow.generated, (space, gens)
+            assert fast.generator_count == slow.generator_count
+
+
 # -- growth in the grid family -------------------------------------------------------
 
 
 def test_growth_meets_bound():
-    for n in (5, 6, 7, 8):
-        assert one_generator_growth(n) >= n
+    """One minimal singleton generates the whole grid algebra."""
+    for n in range(5, 13):
+        size = one_generator_growth(n)
+        assert size == len(dual_algebra(catalog.range2_grid(n))) >= n
+
+
+def test_growth_sizes():
+    assert [one_generator_growth(n) for n in range(9, 13)] == [1053, 2081, 4133, 8233]
 
 
 def test_growth_closure_contains_every_minimal_singleton():
