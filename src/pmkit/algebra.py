@@ -3,95 +3,117 @@
 Elements are the decreasing subsets of the space, with intersection and
 union as lattice operations, the pseudocomplement ``star`` (complement of
 the up-closure), the de Morgan involution ``prime`` (complement of the
-involution image) and the derived dual pseudocomplement.  The element list
-is enumerated eagerly in a canonical order: by cardinality, then by sorted
-index tuple.
+involution image) and the derived dual pseudocomplement.  Inside, an element
+is the bitmask of its points: the elements are enumerated once as masks in
+the canonical order (by cardinality, then by sorted index tuple), and every
+operation and query works on masks through one definition of star and
+prime.  The public methods take and return frozensets of points.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import NotAnElement, NotRegular
-from .order import DOWNSET_LIMIT, Poset, canonical_key
+from .errors import NotAnElement, NotRegular, check_natural
+from .order import DOWNSET_LIMIT, Poset, canonical_sort, iter_bits
 from .space import Space
 
 
 class Algebra:
     """All downsets of a space, with the four algebra operations."""
 
-    __slots__ = ("space", "elements", "_index", "_universe")
+    __slots__ = ("space", "_index", "_up", "_zeta_bits", "_top", "_elements")
 
     def __init__(self, space: Space, limit: int = DOWNSET_LIMIT):
-        elements = tuple(space.poset.downsets(limit))
+        poset = space.poset
+        masks = poset.downset_masks(limit)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(
-            self, "_index", {e: i for i, e in enumerate(elements)}
-        )
-        object.__setattr__(self, "_universe", frozenset(range(space.n)))
+        # element masks mapped to their positions, in the canonical order
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(masks)})
+        object.__setattr__(self, "_up", tuple(map(poset.up_mask, range(space.n))))
+        object.__setattr__(self, "_zeta_bits", tuple(1 << z for z in space.zeta))
+        object.__setattr__(self, "_top", poset.all_mask)
+        object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("Algebra is immutable")
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._index)
 
     def __contains__(self, xs) -> bool:
-        return frozenset(xs) in self._index
+        try:
+            self.mask_of(xs)
+        except (NotAnElement, TypeError):
+            return False
+        return True
+
+    @property
+    def elements(self) -> tuple[frozenset[int], ...]:
+        """The elements as frozensets of points, in the canonical order."""
+        if self._elements is None:
+            object.__setattr__(self, "_elements", tuple(map(Poset.set_of, self._index)))
+        return self._elements
 
     @property
     def zero(self) -> frozenset[int]:
-        return self.elements[0]
+        return frozenset()
 
     @property
     def one(self) -> frozenset[int]:
-        return self._universe
+        return Poset.set_of(self._top)
+
+    def mask_of(self, xs: Iterable[int]) -> int:
+        """Bitmask of the element with points ``xs``, or :class:`NotAnElement`."""
+        xs = frozenset(xs)
+        mask = sum(1 << x for x in xs if isinstance(x, int) and 0 <= x < len(self._up))
+        if mask.bit_count() == len(xs) and mask in self._index:
+            return mask
+        raise NotAnElement(f"{sorted(xs)} is not a downset of this space")
 
     def index_of(self, xs: Iterable[int]) -> int:
-        xs = frozenset(xs)
-        try:
-            return self._index[xs]
-        except KeyError:
-            raise NotAnElement(f"{sorted(xs)} is not a downset of this space") from None
-
-    def check_element(self, xs: Iterable[int]) -> frozenset[int]:
-        xs = frozenset(xs)
-        if xs not in self._index:
-            raise NotAnElement(f"{sorted(xs)} is not a downset of this space")
-        return xs
+        return self._index[self.mask_of(xs)]
 
     # -- operations ----------------------------------------------------------
 
-    def meet(self, xs: frozenset[int], ys: frozenset[int]) -> frozenset[int]:
-        return xs & ys
+    def images(self, mask: int) -> tuple[int, int]:
+        """Star and prime of the point set ``mask`` in one pass: the
+        complements of its up-closure and of its involution image."""
+        up, zeta_bits = self._up, self._zeta_bits
+        covered = image = 0
+        for i in iter_bits(mask):
+            covered |= up[i]
+            image |= zeta_bits[i]
+        return self._top & ~covered, self._top & ~image
 
-    def join(self, xs: frozenset[int], ys: frozenset[int]) -> frozenset[int]:
-        return xs | ys
+    def _prime_star(self, mask: int) -> int:
+        return self.images(self.images(mask)[1])[0]
+
+    def _plus(self, mask: int) -> int:
+        return self.images(self._prime_star(mask))[1]
 
     def star(self, xs: Iterable[int]) -> frozenset[int]:
         """Pseudocomplement: the complement of the up-closure."""
-        xs = self.check_element(xs)
-        return self._universe - self.space.poset.up_closure(xs)
+        return Poset.set_of(self.images(self.mask_of(xs))[0])
 
     def prime(self, xs: Iterable[int]) -> frozenset[int]:
         """De Morgan involution: the complement of the involution image."""
-        xs = self.check_element(xs)
-        return self._universe - self.space.zeta_image(xs)
+        return Poset.set_of(self.images(self.mask_of(xs))[1])
 
     def plus(self, xs: Iterable[int]) -> frozenset[int]:
         """Dual pseudocomplement, as the composite prime-star-prime."""
-        return self.prime(self.star(self.prime(xs)))
+        return Poset.set_of(self._plus(self.mask_of(xs)))
 
     def prime_star(self, xs: Iterable[int]) -> frozenset[int]:
-        return self.star(self.prime(xs))
+        return Poset.set_of(self._prime_star(self.mask_of(xs)))
 
     def range_iterate(self, xs: Iterable[int], k: int) -> frozenset[int]:
         """Apply the prime-star step ``k`` times."""
-        xs = self.check_element(xs)
+        check_natural(k, "step count")
+        mask = self.mask_of(xs)
         for _ in range(k):
-            xs = self.prime_star(xs)
-        return xs
+            mask = self._prime_star(mask)
+        return Poset.set_of(mask)
 
     def range_term_via_distance(self, xs: Iterable[int], k: int) -> frozenset[int]:
         """Distance form of the k-th prime-star iterate, valid at height <= 1.
@@ -100,72 +122,60 @@ class Algebra:
         complement (k even) or from the involution image of the complement
         (k odd).
         """
+        check_natural(k, "step count")
         if not self.space.is_regular():
             raise NotRegular("the distance formula requires height <= 1")
-        xs = self.check_element(xs)
-        complement = self._universe - xs
-        target = complement if k % 2 == 0 else self.space.zeta_image(complement)
-        levels = self.space.poset.distance_levels(target)
-        return frozenset(x for x in range(self.space.n) if levels[x] > k)
-
-    def stabilization_steps(self, xs: Iterable[int]) -> int:
-        """Least k with the k-th and (k+1)-th iterates of ``xs & xs'*`` equal."""
-        xs = self.check_element(xs)
-        current = xs & self.prime_star(xs)
-        k = 0
-        while True:
-            nxt = self.prime_star(current)
-            if nxt == current:
-                return k
-            current = nxt
-            k += 1
+        mask = self.mask_of(xs)
+        # zeta is a bijection: the involution image of the complement is the prime
+        target = self.images(mask)[1] if k % 2 else self._top & ~mask
+        levels = self.space.poset.distance_levels(iter_bits(target))
+        return frozenset(x for x, d in enumerate(levels) if d > k)
 
     def range_of(self) -> int:
-        """Least n making every element's prime-star chain stall by step n."""
-        return max((self.stabilization_steps(xs) for xs in self.elements), default=0)
+        """Least n making every element's prime-star chain stall by step n:
+        the most steps any ``x & x'*`` takes to reach a fixed point."""
+        most = 0
+        for mask in self._index:
+            current, k = mask & self._prime_star(mask), 0
+            while (nxt := self._prime_star(current)) != current:
+                current, k = nxt, k + 1
+            most = max(most, k)
+        return most
 
     # -- regularity ----------------------------------------------------------
 
     def is_regular(self) -> bool:
         """Exhaustive check of ``x & x+ <= y | y*`` over all element pairs."""
-        lower = frozenset()
-        for xs in self.elements:
-            lower |= xs & self.plus(xs)
-        upper = self._universe
-        for ys in self.elements:
-            upper &= ys | self.star(ys)
-        return lower <= upper
+        lower, upper = 0, self._top
+        for mask in self._index:
+            lower |= mask & self._plus(mask)
+            upper &= mask | self.images(mask)[0]
+        return not lower & ~upper
 
-    def _signature_trivial(self, signature) -> bool:
-        seen = {}
-        for xs in self.elements:
-            sig = signature(xs)
-            if sig in seen and seen[sig] != xs:
-                return False
-            seen[sig] = xs
-        return True
+    def _star_determines(self, other) -> bool:
+        signatures = {(self.images(m)[0], other(m)) for m in self._index}
+        return len(signatures) == len(self._index)
 
     def moisil_trivial(self) -> bool:
         """True when equal star and prime-star determine equal elements."""
-        return self._signature_trivial(lambda xs: (self.star(xs), self.prime_star(xs)))
+        return self._star_determines(self._prime_star)
 
     def determination_trivial(self) -> bool:
         """True when equal star and plus determine equal elements."""
-        return self._signature_trivial(lambda xs: (self.star(xs), self.plus(xs)))
+        return self._star_determines(self._plus)
 
     # -- congruences ----------------------------------------------------------
 
-    def _congruence_generator(self, x: int) -> frozenset[int]:
+    def _congruence_generator(self, x: int) -> int:
         """Least involution-closed set containing x whose minimal part is up-closed."""
-        poset = self.space.poset
-        min_mask = poset.minimals()
-        current = frozenset((x,))
-        while True:
-            grown = current | self.space.zeta_image(current)
-            grown |= poset.up_closure(grown & min_mask)
-            if grown == current:
-                return current
+        minimals, top = self.space.poset.minimals_mask(), self._top
+        current, grown = 0, 1 << x
+        while grown != current:
             current = grown
+            # involution image and up-closure: the complements of prime and star
+            grown = current | top & ~self.images(current)[1]
+            grown |= top & ~self.images(grown & minimals)[0]
+        return current
 
     def congruence_sets(self) -> tuple[frozenset[int], ...]:
         """All sets that are involution-closed and up-closed on their minimal part.
@@ -174,18 +184,17 @@ class Algebra:
         family is closed under union and intersection, so it is exactly the
         set of unions of the per-point generated sets.
         """
-        found = {frozenset()}
+        found = {0}
         for gen in {self._congruence_generator(x) for x in range(self.space.n)}:
-            found |= {xs | gen for xs in found}
-        return tuple(sorted(found, key=canonical_key))
+            found |= {m | gen for m in found}
+        return tuple(map(Poset.set_of, canonical_sort(found, self.space.n)))
 
     # -- duality round trip ----------------------------------------------------
 
     def point_ideal(self, x: int) -> frozenset[int]:
         """Indices of the elements avoiding point ``x`` (a prime ideal)."""
-        return frozenset(
-            i for i, xs in enumerate(self.elements) if x not in xs
-        )
+        bit = self.space.poset.mask_of((x,))
+        return frozenset(i for i, m in enumerate(self._index) if not m & bit)
 
     def reconstruct_space(self) -> Space:
         """Rebuild a space from the algebra: points are the per-point prime
@@ -194,19 +203,15 @@ class Algebra:
         """
         n = self.space.n
         ideals = [self.point_ideal(x) for x in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(n) if ideals[i] <= ideals[j]]
         lookup = {ideal: x for x, ideal in enumerate(ideals)}
-        pairs = [
-            (i, j) for i in range(n) for j in range(n) if ideals[i] <= ideals[j]
+        primes = [self.images(m)[1] for m in self._index]
+        # the ideal of zeta(x): the elements avoiding zeta(x), whose primes hold x
+        zeta = [
+            lookup[frozenset(i for i, p in enumerate(primes) if p >> x & 1)]
+            for x in range(n)
         ]
-        poset = Poset.from_pairs(n, pairs)
-        zeta = []
-        for x in range(n):
-            # a member of the image ideal is an element whose prime avoids x.
-            image = frozenset(
-                i for i, xs in enumerate(self.elements) if x in self.prime(xs)
-            )
-            zeta.append(lookup[image])
-        return Space(poset, zeta)
+        return Space(Poset.from_pairs(n, pairs), zeta)
 
 
 def dual_algebra(space: Space, limit: int = DOWNSET_LIMIT) -> Algebra:

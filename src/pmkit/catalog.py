@@ -33,7 +33,7 @@ from .errors import (
     NotBooleanSubalgebra,
     PairedSingletonViolation,
 )
-from .order import Poset, canonical_key
+from .order import Poset, canonical_sort
 from .space import Space
 
 
@@ -154,7 +154,8 @@ def _closed_family(space: Space, sets, ground, allowed) -> list[frozenset[int]]:
         if len(xs) == 1 and xs <= allowed:
             (x,) = xs
             members.add(space.poset.down_closure([space.zeta[x]]))
-    out = sorted(members, key=canonical_key)
+    masks = canonical_sort(map(space.poset.mask_of, members), space.n)
+    out = [Poset.set_of(m) for m in masks]
     assert all(space.poset.is_decreasing(s) for s in out)
     return out
 

@@ -21,6 +21,12 @@ class BadLabel(StructureError):
     pass
 
 
+def check_natural(value, name: str) -> None:
+    """Raise :class:`BadParams` unless ``value`` is a non-bool int >= 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise BadParams(f"{name} must be a natural number, got {value!r}")
+
+
 class ValidationError(PmkitError):
     """A structural law failed; ``witness`` names the offending elements."""
 

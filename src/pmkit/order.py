@@ -34,9 +34,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def canonical_key(s: frozenset[int]) -> tuple[int, tuple[int, ...]]:
-    """Sort key of the canonical set order: cardinality, then sorted elements."""
-    return len(s), tuple(sorted(s))
+def canonical_sort(masks: Iterable[int], n: int) -> list[int]:
+    """Masks of subsets of ``range(n)`` in the canonical set order: by
+    cardinality, then by sorted element tuple.  Of two sets of one size, the
+    one holding the lowest point where they differ comes first."""
+    width = f"0{n}b"
+    out = sorted(masks, key=lambda m: format(m, width)[::-1], reverse=True)
+    out.sort(key=int.bit_count)
+    return out
 
 
 @total_ordering
@@ -328,7 +333,11 @@ class Poset:
     # -- downsets ----------------------------------------------------------
 
     def downsets(self, limit: int = DOWNSET_LIMIT) -> list[frozenset[int]]:
-        """All decreasing subsets, sorted by cardinality then element tuple.
+        """All decreasing subsets, in the canonical set order."""
+        return [self.set_of(m) for m in self.downset_masks(limit)]
+
+    def downset_masks(self, limit: int = DOWNSET_LIMIT) -> list[int]:
+        """Masks of all decreasing subsets, in the canonical set order.
 
         Raises :class:`SizeLimitExceeded` once more than ``limit`` sets exist.
         """
@@ -347,9 +356,7 @@ class Poset:
             raise SizeLimitExceeded(
                 f"more than {limit} downsets; raise the limit to proceed"
             )
-        sets = [self.set_of(m) for m in found]
-        sets.sort(key=canonical_key)
-        return sets
+        return canonical_sort(found, self.n)
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs ``(a, b)``: a < b with nothing strictly between."""

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
-    BadParams,
     IndexOutOfRange,
     InvolutionBroken,
     NotRegular,
     OrderReversalBroken,
+    check_natural,
 )
 from .order import Distance, Poset, iter_bits
 
@@ -148,8 +148,7 @@ class Space:
 
     def simple_in_mn(self, bound: int) -> bool:
         """Pairwise test: every pair is within ``bound`` of the other or its image."""
-        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-            raise BadParams(f"bound must be a natural number, got {bound!r}")
+        check_natural(bound, "bound")
         if self.n == 0:
             raise NotRegular("the empty space has a trivial dual algebra")
         if not self.is_regular():

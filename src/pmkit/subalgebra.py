@@ -1,12 +1,13 @@
 """Subalgebra generation by closure, and finiteness/growth experiments.
 
-The closure works on bitmasks through the least generated member containing
-each point.  Those least members fix the generated {0,1}-sublattice (its
-members are exactly their unions), so closing under the two unary
-operations only needs each distinct least member checked once, and the
-members are listed by unions at the end.  Growth experiments on the width-2
-grid family show one generator producing at least ``n`` elements, the
-finite shadow of a free algebra being infinite.
+The closure works on element masks, with the algebra's own star and prime,
+through the least generated member containing each point.  Those least
+members fix the generated {0,1}-sublattice (its members are exactly their
+unions), so closing under the two unary operations only needs each distinct
+least member checked once; the members are listed by unions and become
+frozensets, in the canonical order, only at the end.  Growth experiments on
+the width-2 grid family show one generator producing at least ``n``
+elements, the finite shadow of a free algebra being infinite.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable
 from . import catalog
 from .algebra import Algebra, dual_algebra
 from .errors import BadParams, Overflow
-from .order import DOWNSET_LIMIT, canonical_key, iter_bits
+from .order import DOWNSET_LIMIT, Poset, canonical_sort, iter_bits
 
 
 @dataclass(frozen=True)
@@ -39,19 +40,15 @@ class ClosureResult:
 def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> ClosureResult:
     """Least subset of the algebra containing the generators and constants,
     closed under meet, join, pseudocomplement and the de Morgan operation."""
-    gens = [algebra.check_element(g) for g in gens]
-    space = algebra.space
-    poset = space.poset
-    top = poset.all_mask
-    up = [poset.up_mask(x) for x in range(space.n)]
-    zeta_bits = [1 << z for z in space.zeta]
+    gens = [algebra.mask_of(g) for g in gens]
+    top = algebra.space.poset.all_mask
     # least[i] is the least generated member containing point i: the meet of
     # the top and every generator containing i (Birkhoff).  The generated
     # {0,1}-sublattice is exactly the set of unions of these blocks (0 is the
     # empty union, the top the union of all):
     # k in least[i] gives least[k] <= least[i], so meets of unions are again
     # unions, and a mask y is a member iff least[i] <= y for every i in y.
-    least = [top] * space.n
+    least = [top] * algebra.space.n
     checked: set[int] = set()
     ops = 0
 
@@ -60,7 +57,7 @@ def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> Clos
             least[i] &= g
 
     for g in gens:
-        refine(poset.mask_of(g))
+        refine(g)
     # Star and prime turn joins into meets ((a | b)* = a* & b* and
     # (a | b)' = a' & b'), so the lattice is closed under both once the
     # images of every block are members.  Members only accumulate, so a
@@ -68,35 +65,23 @@ def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> Clos
     while fresh := set(least) - checked:
         for block in fresh:
             checked.add(block)
-            covered = image = 0
-            for i in iter_bits(block):
-                covered |= up[i]
-                image |= zeta_bits[i]
             ops += 2
-            for y in (top & ~covered, top & ~image):
+            for y in algebra.images(block):
                 if any(least[i] & ~y for i in iter_bits(y)):
                     refine(y)
     found = {0}
     for block in set(least):
         ops += len(found)
         found |= {f | block for f in found}
-    out = sorted((poset.set_of(f) for f in found), key=canonical_key)
-    return ClosureResult(tuple(out), len(gens), ops)
+    out = canonical_sort(found, algebra.space.n)
+    return ClosureResult(tuple(map(Poset.set_of, out)), len(gens), ops)
 
 
 def is_closed_family(algebra: Algebra, family: Iterable[Iterable[int]]) -> bool:
-    """Check a family is a subalgebra: contains the constants and is closed
-    under all four operations."""
-    sets = {algebra.check_element(f) for f in family}
-    if algebra.zero not in sets or algebra.one not in sets:
-        return False
-    for xs in sets:
-        if algebra.star(xs) not in sets or algebra.prime(xs) not in sets:
-            return False
-        for ys in sets:
-            if xs & ys not in sets or xs | ys not in sets:
-                return False
-    return True
+    """Check a family is a subalgebra: it equals its own closure, so it
+    contains the constants and is closed under all four operations."""
+    family = {frozenset(f) for f in family}
+    return set(generate_subalgebra(algebra, family).generated) == family
 
 
 def one_generator_growth(n: int, limit: int = DOWNSET_LIMIT) -> int:

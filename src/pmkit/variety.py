@@ -91,7 +91,8 @@ class VarietyLattice:
     ``classes`` are the equivalence classes of generators under mutual
     embeddability; ``order`` is the induced poset on classes (``i <= j``
     when class ``i`` embeds into class ``j``); ``downsets`` enumerates all
-    decreasing sets of classes.  The empty downset is the trivial variety.
+    decreasing sets of classes in the canonical set order, so by size.  The
+    empty downset is the trivial variety.
     """
 
     generators: tuple[SimpleRef, ...]
@@ -134,8 +135,7 @@ class VarietyLattice:
         return out
 
     def is_chain(self) -> bool:
-        ordered = sorted(self.downsets, key=len)
-        return all(a <= b for a, b in zip(ordered, ordered[1:]))
+        return all(a <= b for a, b in zip(self.downsets, self.downsets[1:]))
 
     def to_dot(self) -> str:
         """Hasse diagram in DOT text, edges pointing at the larger variety."""
@@ -182,8 +182,7 @@ def subvariety_lattice(
         if embeds[i][j]
     }
     order = Poset.from_pairs(len(classes), pairs)
-    downsets = tuple(order.downsets())
-    return VarietyLattice(gens, tuple(classes), order, downsets)
+    return VarietyLattice(gens, tuple(classes), order, tuple(order.downsets()))
 
 
 def distinct_varieties(labels: Iterable[tuple[int, int]], use_oracle: bool = False) -> bool:

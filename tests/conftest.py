@@ -1,36 +1,17 @@
 import pytest
 
-from pmkit import Poset, Space, catalog, dual_algebra, generate_subalgebra
-
-
-def small_catalog():
-    """Named spaces with at most 12 elements, used by exhaustive sweeps."""
-    out = [(f"q{i}", catalog.q(i)) for i in range(6)]
-    for n in range(3, 7):
-        for m in range(n + 1):
-            out.append((f"q6:{m},{n}", catalog.q6(m, n)))
-    out += [
-        ("grid:5", catalog.range2_grid(5)),
-        ("grid:6", catalog.range2_grid(6)),
-        ("crown:2", catalog.crown_pair(2)),
-        ("crown:3", catalog.crown_pair(3)),
-        ("chain3", catalog.nonregular_chain3()),
-    ]
-    return out
-
-
-def regular_small_catalog():
-    return [(name, s) for name, s in small_catalog() if s.is_regular()]
+from pmkit import Poset, Space, acceptance, dual_algebra, generate_subalgebra
 
 
 @pytest.fixture(scope="session")
 def catalog_spaces():
-    return small_catalog()
+    """Named spaces with at most 12 elements, used by exhaustive sweeps."""
+    return acceptance.catalog_spaces()
 
 
 @pytest.fixture(scope="session")
 def regular_spaces():
-    return regular_small_catalog()
+    return acceptance.regular_catalog_spaces()
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +25,32 @@ def field_of_subsets():
         return generate_subalgebra(discrete, generators).generated
 
     return close
+
+
+@pytest.fixture(scope="session")
+def random_pm_space():
+    """``random_pm_space(rng)``: a random order on ``k <= 4`` points glued
+    below its order dual, zeta swapping the two copies, plus up to two
+    zeta-fixed points between them (at most 10 points)."""
+
+    def build(rng):
+        k = rng.randint(1, 4)
+        fixed = rng.randint(0, min(2, 10 - 2 * k))
+        chain, glue = rng.choice((0.0, 0.3, 0.6)), rng.choice((0.0, 0.2, 0.5))
+        pairs = []
+        for i in range(k):
+            for j in range(k):
+                # i <= j in the lower copy, i <= zeta(j) across; each pair
+                # comes with its zeta-mirror so that zeta reverses the order.
+                if i < j and rng.random() < chain:
+                    pairs += [(i, j), (k + j, k + i)]
+                if rng.random() < glue:
+                    pairs += [(i, k + j), (j, k + i)]
+        for z in range(2 * k, 2 * k + fixed):
+            for i in rng.sample(range(k), rng.randint(0, k)):
+                pairs += [(i, z), (z, k + i)]
+        zeta = [k + i for i in range(k)] + list(range(k))
+        zeta += range(2 * k, 2 * k + fixed)
+        return Space(Poset.from_pairs(2 * k + fixed, pairs), zeta)
+
+    return build

@@ -1,13 +1,121 @@
 """The downset algebra: operations, laws, range, congruences, duality."""
 
+import itertools
+import random
+
 import pytest
 
-from pmkit import Poset, Space, catalog, dual_algebra
-from pmkit.errors import NotAnElement, NotRegular, SizeLimitExceeded
+from pmkit import Poset, Space, acceptance, catalog, dual_algebra
+from pmkit.errors import (
+    BadParams,
+    IndexOutOfRange,
+    NotAnElement,
+    NotRegular,
+    SizeLimitExceeded,
+)
 
 
 def fs(*xs):
     return frozenset(xs)
+
+
+def canonical_key(s):
+    return len(s), tuple(sorted(s))
+
+
+class FrozensetAlgebra:
+    """Reference downset algebra computed on frozensets of points: the
+    elements are found by testing every subset, and each operation and
+    query is the set-level definition, with no bitmask in between."""
+
+    def __init__(self, space):
+        n = space.n
+        self.space = space
+        self.universe = frozenset(range(n))
+        subsets = (
+            frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)
+        )
+        self.elements = sorted(
+            (s for s in subsets if space.poset.down_closure(s) == s), key=canonical_key
+        )
+
+    def star(self, xs):
+        return self.universe - self.space.poset.up_closure(xs)
+
+    def prime(self, xs):
+        return self.universe - self.space.zeta_image(xs)
+
+    def plus(self, xs):
+        return self.prime(self.star(self.prime(xs)))
+
+    def prime_star(self, xs):
+        return self.star(self.prime(xs))
+
+    def range_iterate(self, xs, k):
+        for _ in range(k):
+            xs = self.prime_star(xs)
+        return xs
+
+    def range_of(self):
+        def steps(xs):
+            current, k = xs & self.prime_star(xs), 0
+            while (nxt := self.prime_star(current)) != current:
+                current, k = nxt, k + 1
+            return k
+
+        return max(map(steps, self.elements), default=0)
+
+    def is_regular(self):
+        lower, upper = frozenset(), self.universe
+        for xs in self.elements:
+            lower |= xs & self.plus(xs)
+            upper &= xs | self.star(xs)
+        return lower <= upper
+
+    def _signature_trivial(self, signature):
+        seen = {}
+        for xs in self.elements:
+            sig = signature(xs)
+            if seen.setdefault(sig, xs) != xs:
+                return False
+        return True
+
+    def moisil_trivial(self):
+        return self._signature_trivial(lambda xs: (self.star(xs), self.prime_star(xs)))
+
+    def determination_trivial(self):
+        return self._signature_trivial(lambda xs: (self.star(xs), self.plus(xs)))
+
+    def congruence_sets(self):
+        poset, zeta_image = self.space.poset, self.space.zeta_image
+
+        def generator(x):
+            current = frozenset((x,))
+            while True:
+                grown = current | zeta_image(current)
+                grown |= poset.up_closure(grown & poset.minimals())
+                if grown == current:
+                    return current
+                current = grown
+
+        found = {frozenset()}
+        for gen in {generator(x) for x in range(self.space.n)}:
+            found |= {xs | gen for xs in found}
+        return tuple(sorted(found, key=canonical_key))
+
+    def point_ideal(self, x):
+        return frozenset(i for i, xs in enumerate(self.elements) if x not in xs)
+
+    def reconstruct_space(self):
+        n = self.space.n
+        ideals = [self.point_ideal(x) for x in range(n)]
+        lookup = {ideal: x for x, ideal in enumerate(ideals)}
+        pairs = [(i, j) for i in range(n) for j in range(n) if ideals[i] <= ideals[j]]
+        primes = [self.prime(xs) for xs in self.elements]
+        zeta = [
+            lookup[frozenset(i for i, ys in enumerate(primes) if x in ys)] for x in range(n)
+        ]
+        return Space(Poset.from_pairs(n, pairs), zeta)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -31,6 +139,66 @@ def test_elements_are_downsets_in_canonical_order():
     assert keys == sorted(keys)
     assert all(p.is_decreasing(s) for s in algebra.elements)
     assert len(set(algebra.elements)) == len(algebra.elements)
+
+
+def test_mask_algebra_matches_frozenset_reference(random_pm_space):
+    """Element order, indices, the operations and every query agree with the
+    frozenset reference on the catalog and on seeded random pm-spaces, and
+    non-elements are refused."""
+    rng = random.Random(606)
+    spaces = [space for _, space in acceptance.catalog_spaces()]
+    spaces += [random_pm_space(rng) for _ in range(150)]
+    tall = sum(space.poset.height() >= 2 for space in spaces)
+    with_fixed = sum(any(z == x for x, z in enumerate(space.zeta)) for space in spaces)
+    assert tall >= 20 and with_fixed >= 20
+    for space in spaces:
+        algebra, ref = dual_algebra(space), FrozensetAlgebra(space)
+        assert algebra.elements == tuple(ref.elements), space
+        for i, xs in enumerate(ref.elements):
+            assert xs in algebra and algebra.index_of(xs) == i
+            assert algebra.star(xs) == ref.star(xs), (space, xs)
+            assert algebra.prime(xs) == ref.prime(xs), (space, xs)
+            assert algebra.plus(xs) == ref.plus(xs), (space, xs)
+            assert algebra.prime_star(xs) == ref.prime_star(xs), (space, xs)
+            for k in range(4):
+                assert algebra.range_iterate(xs, k) == ref.range_iterate(xs, k)
+        assert algebra.range_of() == ref.range_of(), space
+        assert algebra.is_regular() == ref.is_regular(), space
+        assert algebra.moisil_trivial() == ref.moisil_trivial(), space
+        assert algebra.determination_trivial() == ref.determination_trivial(), space
+        assert algebra.congruence_sets() == ref.congruence_sets(), space
+        for x in range(space.n):
+            assert algebra.point_ideal(x) == ref.point_ideal(x)
+        assert algebra.reconstruct_space() == ref.reconstruct_space(), space
+        members = set(ref.elements)
+        points = range(space.n)
+        subsets = (frozenset(c) for k in points for c in itertools.combinations(points, k))
+        strangers = list(itertools.islice((s for s in subsets if s not in members), 4))
+        strangers += [fs(space.n), fs(-1), fs(0, space.n), fs(0, -1)]
+        for xs in strangers:
+            assert xs not in algebra
+            with pytest.raises(NotAnElement):
+                algebra.index_of(xs)
+            with pytest.raises(NotAnElement):
+                algebra.star(xs)
+        for x in (-1, space.n):
+            with pytest.raises(IndexOutOfRange):
+                algebra.point_ideal(x)
+
+
+def test_contains_is_false_for_non_elements():
+    algebra = dual_algebra(catalog.q(2))
+    assert fs() in algebra and [0] in algebra and (1, 0) in algebra
+    for junk in (5, None, fs(1), [0, 7], [-1], ["a"], [[0]], "0"):
+        assert junk not in algebra
+
+
+@pytest.mark.parametrize("method", ["range_iterate", "range_term_via_distance"])
+@pytest.mark.parametrize("k", [-1, 1.5, "2", None, True])
+def test_range_steps_reject_bad_k(method, k):
+    algebra = dual_algebra(catalog.q6(1, 3))
+    with pytest.raises(BadParams, match="step count must be a natural number"):
+        getattr(algebra, method)(fs(), k)
 
 
 def test_size_limit():

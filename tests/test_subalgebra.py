@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from pmkit import Poset, Space, acceptance, catalog, dual_algebra
+from pmkit import acceptance, catalog, dual_algebra
 from pmkit.errors import BadParams, NotAnElement, Overflow
-from pmkit.order import canonical_key
 from pmkit.subalgebra import (
     ClosureResult,
     crown_bound_check,
@@ -25,7 +24,7 @@ def saturate(algebra, gens):
     """Reference closure by pairwise saturation: apply the unary operations
     to every fresh element and meet and join it with everything generated
     so far, until nothing new appears."""
-    gens = [algebra.check_element(g) for g in gens]
+    gens = [algebra.elements[algebra.index_of(g)] for g in gens]
     generated: set[frozenset[int]] = {algebra.zero, algebra.one}
     generated.update(gens)
     worklist = list(generated)
@@ -47,30 +46,8 @@ def saturate(algebra, gens):
         fresh -= generated
         generated |= fresh
         worklist = list(fresh)
-    out = sorted(generated, key=canonical_key)
+    out = sorted(generated, key=lambda s: (len(s), tuple(sorted(s))))
     return ClosureResult(tuple(out), len(gens), ops)
-
-
-def random_pm_space(rng):
-    """A random order on ``k`` points glued below its order dual, zeta
-    swapping the two copies, plus up to two zeta-fixed points between them."""
-    k = rng.randint(1, 4)
-    fixed = rng.randint(0, min(2, 10 - 2 * k))
-    chain, glue = rng.choice((0.0, 0.3, 0.6)), rng.choice((0.0, 0.2, 0.5))
-    pairs = []
-    for i in range(k):
-        for j in range(k):
-            # i <= j in the lower copy, i <= zeta(j) across; each pair comes
-            # with its zeta-mirror so that zeta reverses the order.
-            if i < j and rng.random() < chain:
-                pairs += [(i, j), (k + j, k + i)]
-            if rng.random() < glue:
-                pairs += [(i, k + j), (j, k + i)]
-    for z in range(2 * k, 2 * k + fixed):
-        for i in rng.sample(range(k), rng.randint(0, k)):
-            pairs += [(i, z), (z, k + i)]
-    zeta = [k + i for i in range(k)] + list(range(k)) + list(range(2 * k, 2 * k + fixed))
-    return Space(Poset.from_pairs(2 * k + fixed, pairs), zeta)
 
 
 # -- closure basics ---------------------------------------------------------------
@@ -114,6 +91,32 @@ def test_closure_operator_laws():
         assert again == close_small
 
 
+def test_is_closed_family_matches_pairwise_check():
+    """A family is closed iff it holds the constants, the star and prime of
+    each member and the meet and join of each pair: generated families
+    pass, the same families with one member dropped mostly fail."""
+    algebra = dual_algebra(catalog.q6(2, 4))
+    rng = random.Random(11)
+    pool = list(algebra.elements)
+
+    def pairwise(family):
+        sets = set(family)
+        return {algebra.zero, algebra.one} <= sets and all(
+            {algebra.star(xs), algebra.prime(xs)} <= sets
+            and all(xs & ys in sets and xs | ys in sets for ys in sets)
+            for xs in sets
+        )
+
+    closed = [generate_subalgebra(algebra, rng.sample(pool, 2)).generated for _ in range(8)]
+    families = closed + [rng.sample(pool, rng.randint(2, 6)) for _ in range(8)]
+    families += [[xs for xs in family if xs != rng.choice(family)] for family in closed]
+    verdicts = [is_closed_family(algebra, family) for family in families]
+    assert verdicts == [pairwise(family) for family in families]
+    assert True in verdicts and False in verdicts
+    with pytest.raises(NotAnElement):
+        is_closed_family(algebra, [fs(), fs(4)])
+
+
 def test_closure_of_closed_family_is_fixpoint(field_of_subsets):
     members = catalog.kf_subalgebra_q6(2, 4, field_of_subsets(4, [fs(0, 1)]))
     algebra = dual_algebra(catalog.q6(2, 4))
@@ -121,7 +124,7 @@ def test_closure_of_closed_family_is_fixpoint(field_of_subsets):
     assert set(result.generated) == set(members)
 
 
-def test_closure_matches_saturation_reference():
+def test_closure_matches_saturation_reference(random_pm_space):
     """Least-member closure equals pairwise saturation, element for element,
     on the catalog and on seeded random pm-spaces."""
     rng = random.Random(2024)
