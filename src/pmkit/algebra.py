@@ -128,8 +128,7 @@ class Algebra:
         mask = self.mask_of(xs)
         # zeta is a bijection: the involution image of the complement is the prime
         target = self.images(mask)[1] if k % 2 else self._top & ~mask
-        levels = self.space.poset.distance_levels(iter_bits(target))
-        return frozenset(x for x, d in enumerate(levels) if d > k)
+        return Poset.set_of(self._top & ~self.space.poset._within(target, k))
 
     def range_of(self) -> int:
         """Least n making every element's prime-star chain stall by step n:

@@ -5,15 +5,18 @@ Six small building blocks ``q0`` .. ``q5``, the two-level bipartite family
 family ``crown_pair(n)``, closed subalgebra families on the latter two kinds
 of space, and a non-regular three-chain used as a negative control.
 
-Index conventions (also used for the printable element names):
+The three parametrised families are two-level spaces on 2k points: the
+minimals at ``0..k-1`` and their involution images ``zeta(i) = k+i`` above.
+Each family is read off one symmetric relation, "minimal ``i`` lies below
+``zeta(j)``".  Index conventions (also used for the printable element names):
 
-* ``q6(m, n)``: minimal level ``s_0 .. s_{n-1}`` at indices ``0..n-1`` with
-  the involution sending ``i`` to ``n+i``; the first ``m`` minimal elements
-  are the ones not below their own image.
-* ``range2_grid(n)``: minimals ``x_0..x_{n-1}`` at ``0..n-1``, maximals
-  ``y_i = zeta(x_i)`` at ``n+i``; ``x_i < y_j`` unless ``i`` is ``j-1`` or
-  ``j+1`` (plain integers, no wraparound).
-* ``crown_pair(n)``: minimals ``a_0..a_{n-1}`` at ``0..n-1`` and
+* ``q6(m, n)``, k = n: minimal level ``s_0 .. s_{n-1}``; ``s_i < zeta(s_j)``
+  unless ``i == j < m``, so the first ``m`` minimal elements are the ones
+  not below their own image.
+* ``range2_grid(n)``, k = n: minimals ``x_0..x_{n-1}``, maximals
+  ``y_i = zeta(x_i)``; ``x_i < y_j`` unless ``i`` is ``j-1`` or ``j+1``
+  (plain integers, no wraparound).
+* ``crown_pair(n)``, k = 2n: minimals ``a_0..a_{n-1}`` at ``0..n-1`` and
   ``b_0..b_{n-1}`` at ``n..2n-1``; their images at ``2n+i`` and ``3n+i``.
   Every ``a_i`` is below every ``zeta(a_j)``, every ``b_i`` below every
   ``zeta(b_j)``, and the mixed relations hold exactly when the indices
@@ -62,47 +65,35 @@ def q(i: int) -> Space:
     raise IndexOutOfRange(f"q(i) requires 0 <= i <= 5, got {i}")
 
 
+def _two_level(k: int, below) -> Space:
+    """Space on 2k points: minimals ``0..k-1``, zeta swapping ``i`` and
+    ``k+i``, and ``i < k+j`` exactly when ``below(i, j)``.  ``below`` must be
+    symmetric for zeta to reverse the order."""
+    maximals = [1 << (k + j) for j in range(k)]
+    up = [1 << i | sum(maximals[j] for j in range(k) if below(i, j)) for i in range(k)]
+    return Space(Poset(up + maximals), tuple(range(k, 2 * k)) + tuple(range(k)))
+
+
 def q6(m: int, n: int) -> Space:
     """Two-level bipartite space on 2n points; the first ``m`` minimals are
     exactly the ones not below their own involution image."""
     if n < 3 or not 0 <= m <= n:
         raise BadParams(f"q6 requires n >= 3 and 0 <= m <= n, got ({m}, {n})")
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i != j or i >= m:
-                pairs.append((i, n + j))
-    zeta = tuple(range(n, 2 * n)) + tuple(range(n))
-    return Space(Poset.from_pairs(2 * n, pairs), zeta)
+    return _two_level(n, lambda i, j: i != j or i >= m)
 
 
 def range2_grid(n: int) -> Space:
     """Grid family of width 2: ``x_i < y_j`` unless the indices are adjacent."""
     if n < 5:
         raise BadParams(f"range2_grid requires n >= 5, got {n}")
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i not in (j - 1, j + 1):
-                pairs.append((i, n + j))
-    zeta = tuple(range(n, 2 * n)) + tuple(range(n))
-    return Space(Poset.from_pairs(2 * n, pairs), zeta)
+    return _two_level(n, lambda i, j: abs(i - j) != 1)
 
 
 def crown_pair(n: int) -> Space:
     """Doubled crown on 4n points; mixed relations hold iff indices differ."""
     if n < 2:
         raise BadParams(f"crown_pair requires n >= 2, got {n}")
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            pairs.append((i, 2 * n + j))          # a_i < zeta(a_j)
-            pairs.append((n + i, 3 * n + j))      # b_i < zeta(b_j)
-            if i != j:
-                pairs.append((i, 3 * n + j))      # a_i < zeta(b_j)
-                pairs.append((n + i, 2 * n + j))  # b_i < zeta(a_j)
-    zeta = tuple(range(2 * n, 4 * n)) + tuple(range(2 * n))
-    return Space(Poset.from_pairs(4 * n, pairs), zeta)
+    return _two_level(2 * n, lambda i, j: (i < n) == (j < n) or i % n != j % n)
 
 
 def nonregular_chain3() -> Space:
@@ -113,15 +104,10 @@ def nonregular_chain3() -> Space:
 def disjoint_union(a: Space, b: Space) -> Space:
     """Side-by-side union; handy for non-simple test spaces."""
     shift = a.n
-    pairs = [(x, y) for x in range(a.n) for y in range(a.n) if a.poset.leq(x, y)]
-    pairs += [
-        (shift + x, shift + y)
-        for x in range(b.n)
-        for y in range(b.n)
-        if b.poset.leq(x, y)
-    ]
+    up = [a.poset.up_mask(x) for x in range(a.n)]
+    up += [b.poset.up_mask(x) << shift for x in range(b.n)]
     zeta = tuple(a.zeta) + tuple(shift + z for z in b.zeta)
-    return Space(Poset.from_pairs(a.n + b.n, pairs), zeta)
+    return Space(Poset(up), zeta)
 
 
 # -- closed subalgebra families ------------------------------------------------

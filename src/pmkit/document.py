@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ParseError
+from .errors import BadParams, ParseError
 from .order import Poset
 from .space import Space
 
@@ -102,10 +102,12 @@ def parse_space(text: str) -> NamedSpace:
 
 
 def format_space(space: Space, names: Optional[Sequence[str]] = None) -> str:
-    """Emit a document for ``space``; the order is written as cover pairs."""
-    if names is None:
-        names = [f"e{i}" for i in range(space.n)]
-    names = list(names)
+    """Emit a document for ``space``; the order is written as cover pairs.
+    ``names``, when given, must be ``space.n`` distinct strings."""
+    names = [f"e{i}" for i in range(space.n)] if names is None else list(names)
+    strings = all(isinstance(x, str) for x in names)
+    if not strings or len(names) != len(set(names)) or len(names) != space.n:
+        raise BadParams(f"names must be {space.n} distinct strings, got {names!r}")
     doc = {
         "elements": names,
         "leq": [[names[a], names[b]] for a, b in space.poset.covers()],

@@ -216,7 +216,7 @@ def _iso_signature(space: Space, x: int):
         p.down_mask(x).bit_count(),
         p.up_mask(x).bit_count(),
         space.zeta[x] == x,
-        p.leq(x, space.zeta[x]) or p.leq(space.zeta[x], x),
+        bool((p.up_mask(x) | p.down_mask(x)) >> space.zeta[x] & 1),
     )
 
 

@@ -20,6 +20,7 @@ from .errors import (
     ReflexivityBroken,
     SizeLimitExceeded,
     TransitivityBroken,
+    check_natural,
 )
 
 #: Default cap on downset enumeration (the count can be exponential).
@@ -296,16 +297,20 @@ class Poset:
                 out[j] = Distance(level)
         return out
 
+    def _within(self, start_mask: int, radius: int) -> int:
+        """Mask of the elements at distance at most ``radius`` from the set."""
+        reached = 0
+        for level, frontier in self._frontiers(start_mask):
+            if level > radius:
+                break
+            reached |= frontier
+        return reached
+
     def ball(self, x: int, radius: int) -> frozenset[int]:
         """All elements at distance at most ``radius`` from ``x``."""
         self._check(x)
-        if radius < 0:
-            raise IndexOutOfRange("radius must be a natural number")
-        return frozenset(
-            y
-            for y, d in enumerate(self.distance_levels((x,)))
-            if d.is_finite and d.value <= radius
-        )
+        check_natural(radius, "radius")
+        return self.set_of(self._within(1 << x, radius))
 
     def order_components(self) -> tuple[frozenset[int], ...]:
         """Connected components of the comparability graph, by least element."""

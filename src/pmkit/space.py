@@ -9,7 +9,7 @@ assume a legal space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -47,7 +47,7 @@ class Space:
                 )
         for x in range(n):
             for y in iter_bits(poset.up_mask(x)):
-                if not poset.leq(zeta[y], zeta[x]):
+                if not poset.up_mask(zeta[y]) >> zeta[x] & 1:
                     raise OrderReversalBroken(
                         f"{x} <= {y} but not zeta({y}) <= zeta({x})", witness=(x, y)
                     )
@@ -88,37 +88,32 @@ class Space:
     # -- classification ----------------------------------------------------
 
     def is_regular(self) -> bool:
-        """True when every chain has at most two elements (height <= 1)."""
-        return self.poset.height() <= 1
+        """True when every chain has at most two elements (height <= 1), that
+        is, when every point is minimal or maximal."""
+        p = self.poset
+        return p.minimals_mask() | p.maximals_mask() == p.all_mask
 
     def is_kleene(self) -> bool:
         """True when every point is comparable with its involution image."""
+        p = self.poset
         return all(
-            self.poset.leq(x, self.zeta[x]) or self.poset.leq(self.zeta[x], x)
-            for x in range(self.n)
+            (p.up_mask(x) | p.down_mask(x)) >> z & 1 for x, z in enumerate(self.zeta)
         )
 
     def zeta_distance(self, x: int, y: int) -> Distance:
         """min of the distances from ``x`` to ``y`` and to ``zeta(y)``."""
         return min(self.poset.distance(x, y), self.poset.distance(x, self.zeta[y]))
 
-    def _zeta_rows(self) -> Iterator[list[Distance]]:
-        """Row ``x`` holds the zeta-distance from ``x`` to every point.
+    def zeta_width(self) -> int:
+        """The largest finite zeta-distance between two points (0 if none).
 
         zeta reverses the order, so it keeps comparable pairs comparable and
         is an automorphism of the comparability graph: d(x, zeta y) equals
-        d(zeta x, y).  One sweep from ``{x, zeta x}`` therefore yields
-        min(d(x, y), d(x, zeta y)) for every ``y``.
+        d(zeta x, y).  A sweep from ``{x, zeta x}`` therefore reaches ``y``
+        at level min(d(x, y), d(x, zeta y)).
         """
-        for x in range(self.n):
-            yield self.poset.distance_levels((x, self.zeta[x]))
-
-    def zeta_width(self) -> int:
-        """The largest finite zeta-distance between two points (0 if none)."""
-        return max(
-            (d.value for row in self._zeta_rows() for d in row if d.is_finite),
-            default=0,
-        )
+        sweeps = (self.poset._frontiers(1 << x | 1 << z) for x, z in enumerate(self.zeta))
+        return max((level for sweep in sweeps for level, _ in sweep), default=0)
 
     def kind(self) -> SpaceKind:
         return SpaceKind(
@@ -153,4 +148,6 @@ class Space:
             raise NotRegular("the empty space has a trivial dual algebra")
         if not self.is_regular():
             raise NotRegular("membership test requires height <= 1")
-        return all(d <= bound for row in self._zeta_rows() for d in row)
+        # every point lies within ``bound`` of {x, zeta x}; see zeta_width
+        p, starts = self.poset, (1 << x | 1 << z for x, z in enumerate(self.zeta))
+        return all(p._within(start, bound) == p.all_mask for start in starts)

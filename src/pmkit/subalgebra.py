@@ -17,7 +17,7 @@ from typing import Iterable
 
 from . import catalog
 from .algebra import Algebra, dual_algebra
-from .errors import BadParams, Overflow
+from .errors import BadParams, Overflow, check_natural
 from .order import DOWNSET_LIMIT, Poset, canonical_sort, iter_bits
 
 
@@ -100,6 +100,7 @@ def local_finiteness_bound(generators: int) -> int:
     Values for ``N >= 3`` are reported as overflow rather than computed;
     they are astronomically past any runtime use.
     """
+    check_natural(generators, "generators")
     if generators < 1:
         raise BadParams("the bound is stated for at least one generator")
     if generators >= 3:
@@ -111,7 +112,8 @@ def local_finiteness_bound(generators: int) -> int:
 
 def crown_bound_ceiling(generators: int) -> int:
     """Ceiling ``3 * (2**(2**(4N)))**2`` for the doubled-crown family."""
-    if generators < 0 or generators > 1:
+    check_natural(generators, "generators")
+    if generators > 1:
         raise BadParams("only N in {0, 1} is representable here")
     return 3 * (2 ** (2 ** (4 * generators))) ** 2
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from pmkit import catalog, dual_algebra, is_pm_isomorphic
+from pmkit import Poset, Space, catalog, dual_algebra, is_pm_isomorphic
 from pmkit.errors import (
     BadParams,
     IndexOutOfRange,
@@ -261,3 +261,58 @@ def test_every_catalog_space_validates(catalog_spaces):
     for name, space in catalog_spaces:
         kind = space.kind()
         assert isinstance(kind.zeta_width, int), name
+
+
+# -- pair-list references --------------------------------------------------------
+#
+# The constructors as generating pairs closed by ``Poset.from_pairs``, spelled
+# out family by family; the catalog builds the up rows directly.
+
+
+def q6_pairs(m, n):
+    pairs = [(i, n + j) for i in range(n) for j in range(n) if i != j or i >= m]
+    return Space(Poset.from_pairs(2 * n, pairs), tuple(range(n, 2 * n)) + tuple(range(n)))
+
+
+def grid_pairs(n):
+    pairs = [(i, n + j) for i in range(n) for j in range(n) if i not in (j - 1, j + 1)]
+    return Space(Poset.from_pairs(2 * n, pairs), tuple(range(n, 2 * n)) + tuple(range(n)))
+
+
+def crown_pairs(n):
+    pairs = []
+    for i in range(n):
+        for j in range(n):
+            pairs.append((i, 2 * n + j))  # a_i < zeta(a_j)
+            pairs.append((n + i, 3 * n + j))  # b_i < zeta(b_j)
+            if i != j:
+                pairs.append((i, 3 * n + j))  # a_i < zeta(b_j)
+                pairs.append((n + i, 2 * n + j))  # b_i < zeta(a_j)
+    zeta = tuple(range(2 * n, 4 * n)) + tuple(range(2 * n))
+    return Space(Poset.from_pairs(4 * n, pairs), zeta)
+
+
+def disjoint_union_pairs(a, b):
+    shift = a.n
+    pairs = [(x, y) for x in range(a.n) for y in range(a.n) if a.poset.leq(x, y)]
+    pairs += [
+        (shift + x, shift + y) for x in range(b.n) for y in range(b.n) if b.poset.leq(x, y)
+    ]
+    zeta = tuple(a.zeta) + tuple(shift + z for z in b.zeta)
+    return Space(Poset.from_pairs(a.n + b.n, pairs), zeta)
+
+
+def test_families_match_pair_list_references():
+    for n in range(3, 9):
+        for m in range(n + 1):
+            assert catalog.q6(m, n) == q6_pairs(m, n), (m, n)
+    for n in range(5, 13):
+        assert catalog.range2_grid(n) == grid_pairs(n), n
+    for n in range(2, 7):
+        assert catalog.crown_pair(n) == crown_pairs(n), n
+    for a, b in [
+        (catalog.q(2), catalog.q(0)),
+        (catalog.q6(1, 3), catalog.crown_pair(2)),
+        (catalog.nonregular_chain3(), catalog.q(4)),
+    ]:
+        assert catalog.disjoint_union(a, b) == disjoint_union_pairs(a, b)

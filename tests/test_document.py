@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pmkit import catalog, format_space, is_pm_isomorphic, parse_space
-from pmkit.errors import InvolutionBroken, ParseError
+from pmkit.errors import BadParams, InvolutionBroken, ParseError
 
 
 TWO_CHAIN = json.dumps(
@@ -108,3 +108,20 @@ def test_round_trip(catalog_spaces):
         parsed = parse_space(text)
         assert parsed.space == space  # same indices: covers regenerate the order
         assert is_pm_isomorphic(parsed.space, space)
+
+
+def test_round_trip_with_custom_names():
+    space = catalog.q(4)
+    parsed = parse_space(format_space(space, ["x", "y", "zx", "zy"]))
+    assert parsed.names == ("x", "y", "zx", "zy")
+    assert parsed.space == space
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["x", "y", "zx"], ["x", "y", "zx", "zy", "w"], ["x", "y", "zx", "x"], ["x", "y", "zx", 3]],
+    ids=["short", "extra", "duplicate", "non-string"],
+)
+def test_format_rejects_bad_names(names):
+    with pytest.raises(BadParams, match="names must be 4 distinct strings"):
+        format_space(catalog.q(4), names)

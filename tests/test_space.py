@@ -1,8 +1,10 @@
 """Spaces: validation, classification flags, widths, simplicity."""
 
+import random
+
 import pytest
 
-from pmkit import Distance, Poset, Space, catalog
+from pmkit import Distance, Poset, Space, catalog, dual_algebra
 from pmkit.errors import BadParams, InvolutionBroken, NotRegular, OrderReversalBroken
 
 
@@ -201,3 +203,81 @@ def test_kleene_flag_definition(catalog_spaces):
             for x in range(space.n)
         )
         assert space.is_kleene() == expected
+
+
+# -- Distance, leq and height references -------------------------------------------
+#
+# The space-layer questions as they read through per-point ``Distance`` rows,
+# ``Poset.leq`` and ``Poset.height``; the library reads the order masks and
+# the frontier sweep.
+
+
+def zeta_rows(space):
+    return [space.poset.distance_levels((x, z)) for x, z in enumerate(space.zeta)]
+
+
+def ref_zeta_width(space):
+    return max((d.value for row in zeta_rows(space) for d in row if d.is_finite), default=0)
+
+
+def ref_simple_in_mn(space, bound):
+    return all(d <= bound for row in zeta_rows(space) for d in row)
+
+
+def ref_ball(poset, x, radius):
+    levels = poset.distance_levels((x,))
+    return frozenset(y for y, d in enumerate(levels) if d.is_finite and d.value <= radius)
+
+
+def ref_range_term(space, xs, k):
+    complement = frozenset(range(space.n)) - xs
+    target = space.zeta_image(complement) if k % 2 else complement
+    levels = space.poset.distance_levels(target)
+    return frozenset(x for x, d in enumerate(levels) if d > k)
+
+
+def ref_is_regular(space):
+    return space.poset.height() <= 1
+
+
+def ref_is_kleene(space):
+    p = space.poset
+    return all(p.leq(x, z) or p.leq(z, x) for x, z in enumerate(space.zeta))
+
+
+def test_mask_questions_match_distance_references(random_pm_space):
+    """Width, pairwise bounds, balls, the distance form of the range iterates
+    and both flags agree with the references on seeded random spaces, small
+    disjoint unions of them and the empty space."""
+    rng = random.Random(808)
+    spaces = [random_pm_space(rng) for _ in range(150)]
+    small = [space for space in spaces if space.n <= 5]
+    spaces += [catalog.disjoint_union(a, b) for a, b in zip(small, small[1:])][:40]
+    spaces.append(Space(Poset.antichain(0), ()))
+    tall = sum(space.poset.height() >= 2 for space in spaces)
+    with_fixed = sum(any(z == x for x, z in enumerate(space.zeta)) for space in spaces)
+    disconnected = sum(len(space.poset.order_components()) > 1 for space in spaces)
+    assert tall >= 20 and with_fixed >= 20 and disconnected >= 20
+    for space in spaces:
+        regular = ref_is_regular(space)
+        assert space.is_regular() == regular, space
+        assert space.is_kleene() == ref_is_kleene(space), space
+        assert space.zeta_width() == ref_zeta_width(space), space
+        for x in range(space.n):
+            for radius in (0, 1, 2, 3, space.n):
+                assert space.poset.ball(x, radius) == ref_ball(space.poset, x, radius)
+        algebra = dual_algebra(space)
+        if not regular or space.n == 0:
+            with pytest.raises(NotRegular):
+                space.simple_in_mn(1)
+        else:
+            for bound in range(4):
+                assert space.simple_in_mn(bound) == ref_simple_in_mn(space, bound)
+        if not regular:
+            with pytest.raises(NotRegular):
+                algebra.range_term_via_distance(frozenset(), 1)
+            continue
+        for xs in algebra.elements:
+            for k in range(5):
+                want = ref_range_term(space, xs, k)
+                assert algebra.range_term_via_distance(xs, k) == want, (space, xs, k)

@@ -8,6 +8,7 @@ from pmkit import acceptance, catalog, dual_algebra
 from pmkit.errors import BadParams, NotAnElement, Overflow
 from pmkit.subalgebra import (
     ClosureResult,
+    crown_bound_ceiling,
     crown_bound_check,
     generate_subalgebra,
     is_closed_family,
@@ -189,8 +190,25 @@ def test_local_finiteness_bound_values():
 def test_local_finiteness_bound_overflow():
     with pytest.raises(Overflow):
         local_finiteness_bound(3)
-    with pytest.raises(BadParams):
+    with pytest.raises(BadParams, match="^the bound is stated for at least one generator$"):
         local_finiteness_bound(0)
+    with pytest.raises(BadParams, match=r"^only N in \{0, 1\} is representable here$"):
+        crown_bound_ceiling(2)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda value: catalog.q(2).poset.ball(0, value), "radius"),
+        (local_finiteness_bound, "generators"),
+        (crown_bound_ceiling, "generators"),
+    ],
+    ids=["ball", "local_finiteness_bound", "crown_bound_ceiling"],
+)
+@pytest.mark.parametrize("value", [-1, 0.5, 1.5, "1", None, True])
+def test_natural_parameters_reject_non_naturals(call, name, value):
+    with pytest.raises(BadParams, match=f"^{name} must be a natural number, got "):
+        call(value)
 
 
 def test_single_generator_closures_within_ceiling():
