@@ -21,12 +21,35 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
+from .errors import (
+    IndexOutOfRange,
+    NotQ6Shaped,
+    SearchBudgetExceeded,
+    check_natural,
+)
 from .order import iter_bits
 from .space import Space
 
 #: Default cap on assignment attempts per search.
 DEFAULT_BUDGET = 10**8
+
+
+_INT = frozenset({int})
+
+
+def _images(src: Space, dst: Space, mapping: Sequence[int]) -> tuple[int, ...]:
+    """``mapping`` as a tuple, after checking that it sends every point of
+    ``src`` to a point of ``dst``: one image per point, each a (non-bool) int
+    in range."""
+    phi = tuple(mapping)
+    if len(phi) != src.n:
+        raise IndexOutOfRange("mapping must assign every source element")
+    if not _INT.issuperset(map(type, phi)):
+        bad = next(t for t in phi if type(t) is not int)
+        raise IndexOutOfRange(f"mapping image {bad!r} is not an int")
+    if phi and (min(phi) < 0 or max(phi) >= dst.n):
+        raise IndexOutOfRange("mapping image out of range")
+    return phi
 
 
 @dataclass(frozen=True)
@@ -38,10 +61,7 @@ class MorphismMap:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.mapping) != self.src.n:
-            raise IndexOutOfRange("mapping must assign every source element")
-        if any(not 0 <= t < self.dst.n for t in self.mapping):
-            raise IndexOutOfRange("mapping image out of range")
+        object.__setattr__(self, "mapping", _images(self.src, self.dst, self.mapping))
 
     def check(self) -> "MorphismCheck":
         return check_pm_morphism(self.src, self.dst, self.mapping)
@@ -65,7 +85,7 @@ class MorphismCheck:
 def check_pm_morphism(src: Space, dst: Space, mapping: Sequence[int]) -> MorphismCheck:
     """Check order preservation, involution equivariance and the
     minimal-element condition, reporting the first violation found."""
-    phi = MorphismMap(src, dst, tuple(mapping)).mapping
+    phi = _images(src, dst, mapping)
     for x in range(src.n):
         if phi[src.zeta[x]] != dst.zeta[phi[x]]:
             return MorphismCheck(False, "involution", (x,))
@@ -196,6 +216,7 @@ class _Search:
 
 def search_surjective(src: Space, dst: Space, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive search for a surjective structure map from ``src`` onto ``dst``."""
+    check_natural(budget, "budget")
     if dst.n > src.n:
         return SearchReport(False, None, 0)
     if dst.n == 0:
@@ -228,6 +249,7 @@ def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
     surjective search restricted to signature-matching candidates; between
     spaces of equal size its coverage bound admits only bijections.
     """
+    check_natural(budget, "budget")
     if a.n != b.n:
         return False
     if a.n == 0:
@@ -261,8 +283,10 @@ _Q6_SHAPE_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=_Q6_SHAPE_CACHE_SIZE)
-def _q6_shape(space: Space) -> tuple[int, int, int]:
-    """``(n, minimals mask, exceptions mask)`` of a q6-shaped space.
+def _q6_shape(space: Space) -> tuple[int, int, int, tuple[tuple[int, int, bool], ...]]:
+    """``(n, minimals mask, exceptions mask, level)`` of a q6-shaped space,
+    where ``level`` lists ``(x, zeta(x), x is an exception)`` over the
+    minimals ``x`` in increasing order.
 
     Cached per space, which is sound because spaces are immutable; a shape
     mismatch raises :class:`NotQ6Shaped` and is not cached.
@@ -284,7 +308,8 @@ def _q6_shape(space: Space) -> tuple[int, int, int]:
             raise NotQ6Shaped("distinct minimals must lie below each other's images")
         if not up & own:
             exceptions |= 1 << x
-    return n, minimals, exceptions
+    level = tuple((x, zeta[x], bool(exceptions >> x & 1)) for x in iter_bits(minimals))
+    return n, minimals, exceptions, level
 
 
 def q6_params_of(space: Space) -> tuple[int, int, frozenset[int]]:
@@ -294,7 +319,7 @@ def q6_params_of(space: Space) -> tuple[int, int, frozenset[int]]:
     minimal elements not below their own involution image.  Raises
     :class:`NotQ6Shaped` when the space does not match.
     """
-    n, _, exceptions = _q6_shape(space)
+    n, _, exceptions, _ = _q6_shape(space)
     return exceptions.bit_count(), n, frozenset(iter_bits(exceptions))
 
 
@@ -328,20 +353,21 @@ def check_q6_criteria(src: Space, dst: Space, mapping: Sequence[int]) -> Q6Crite
     mapped outside ``J`` must share its image with another non-preimage
     point of ``S``.
     """
-    _, s_level, exc_src = _q6_shape(src)
-    _, t_level, exc_dst = _q6_shape(dst)
-    phi = MorphismMap(src, dst, tuple(mapping)).mapping
-    src_zeta, dst_zeta = src.zeta, dst.zeta
+    _, _, exc_src, level = _q6_shape(src)
+    _, t_level, exc_dst, _ = _q6_shape(dst)
+    phi = _images(src, dst, mapping)
+    dst_zeta = dst.zeta
 
     image = preimage = preimage_image = 0
     equivariant = injective = True
-    # Images of level points outside the preimage: hit once, hit again.
-    once = twice = 0
-    for x in iter_bits(s_level):
+    # Images of level points outside the preimage: hit once, hit again, and
+    # hit by an exceptional point.
+    once = twice = collapsed = 0
+    for x, zx, exceptional in level:
         t = phi[x]
         bit = 1 << t
         image |= bit
-        if phi[src_zeta[x]] != dst_zeta[t]:
+        if phi[zx] != dst_zeta[t]:
             equivariant = False
         if bit & exc_dst:
             preimage |= 1 << x
@@ -351,8 +377,9 @@ def check_q6_criteria(src: Space, dst: Space, mapping: Sequence[int]) -> Q6Crite
         else:
             twice |= once & bit
             once |= bit
+            if exceptional:
+                collapsed |= bit
 
     clause1 = image == t_level and equivariant
     clause2 = not preimage & ~exc_src
-    clause4 = all((twice >> phi[x]) & 1 for x in iter_bits(exc_src & ~preimage))
-    return Q6CriteriaReport(clause1, clause2, injective, clause4)
+    return Q6CriteriaReport(clause1, clause2, injective, not collapsed & ~twice)

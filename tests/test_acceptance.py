@@ -6,6 +6,8 @@ detail included.  All comparisons are exact (booleans, counts, set
 equalities).
 """
 
+from pathlib import Path
+
 import pytest
 
 from pmkit import acceptance
@@ -39,3 +41,11 @@ def test_criterion(number, title, func):
     print(line)
     assert ok, f"criterion {number} ({title}): {detail}"
     assert line == EXPECTED_LINES[number - 1]
+
+
+def test_expected_lines_match_the_benchmark_copy():
+    """The benchmark's gate workload checks ``verify-paper`` against its own
+    copy of these lines; the two copies must not drift apart."""
+    gate_expected = Path(__file__).resolve().parents[1] / "perfbench" / "gate_expected.txt"
+    lines = EXPECTED_LINES + ["summary: 14/14 passed"]
+    assert gate_expected.read_text() == "\n".join(lines) + "\n"

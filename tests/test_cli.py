@@ -193,6 +193,18 @@ def test_budget_env_must_be_integer(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("morphism", "crown:3", "crown:2"), ("iso", "q6:1,4", "q6:2,4")],
+    ids=["morphism", "iso"],
+)
+def test_budget_env_must_be_natural(capsys, monkeypatch, argv):
+    monkeypatch.setenv("PMKIT_BUDGET", "-3")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "BadParams: budget must be a natural number, got -3" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "member", "--p", "1")[0] == 2
 

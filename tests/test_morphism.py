@@ -15,8 +15,9 @@ from pmkit import (
     is_pm_isomorphic,
     search_surjective,
 )
-from pmkit.errors import IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
-from pmkit.morphism import q6_params_of
+from pmkit.errors import BadParams, IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
+from pmkit.morphism import Q6CriteriaReport, q6_params_of
+from pmkit.order import iter_bits
 
 
 def _relabel(space, perm):
@@ -67,6 +68,24 @@ def test_mapping_must_be_total_and_in_range():
         MorphismMap(catalog.q(2), catalog.q(2), (0,))
     with pytest.raises(IndexOutOfRange):
         MorphismMap(catalog.q(2), catalog.q(2), (0, 5))
+
+
+@pytest.mark.parametrize("image", [0.0, True, "0", None], ids=["float", "bool", "str", "none"])
+@pytest.mark.parametrize(
+    "entry",
+    [MorphismMap, check_pm_morphism, check_q6_criteria],
+    ids=["MorphismMap", "check_pm_morphism", "check_q6_criteria"],
+)
+def test_mapping_images_must_be_ints(entry, image):
+    with pytest.raises(IndexOutOfRange, match="is not an int"):
+        entry(catalog.q6(1, 3), catalog.q6(0, 3), (image, 1, 2, 3, 4, 5))
+
+
+def test_mapping_is_kept_as_a_tuple():
+    space = catalog.q(2)
+    as_list, as_tuple = MorphismMap(space, space, [0, 1]), MorphismMap(space, space, (0, 1))
+    assert as_list.mapping == (0, 1)
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
 
 
 def test_block_construction_passes_all_checks():
@@ -180,6 +199,23 @@ def test_search_is_deterministic():
 def test_search_budget_error():
     with pytest.raises(SearchBudgetExceeded):
         search_surjective(catalog.crown_pair(4), catalog.crown_pair(3), budget=50)
+
+
+@pytest.mark.parametrize("budget", [-3, 1.5, True, "10", None])
+@pytest.mark.parametrize(
+    "question",
+    [
+        lambda budget: search_surjective(catalog.crown_pair(3), catalog.crown_pair(2), budget),
+        lambda budget: search_surjective(catalog.q6(0, 3), catalog.q6(0, 4), budget),
+        lambda budget: is_pm_isomorphic(catalog.q6(1, 4), catalog.q6(2, 4), budget),
+        lambda budget: is_pm_isomorphic(catalog.q6(0, 3), catalog.q6(0, 4), budget),
+    ],
+    # "sized": decided by the sizes alone, before any search starts.
+    ids=["search", "search-sized", "iso", "iso-sized"],
+)
+def test_search_budget_must_be_natural(question, budget):
+    with pytest.raises(BadParams, match="budget must be a natural number"):
+        question(budget)
 
 
 def test_surjective_witness_preserves_extrema():
@@ -383,3 +419,118 @@ def test_criteria_match_full_check_up_to_five():
                             and len(set(phi)) == dst.n
                         )
                         assert verdict == direct, (m, n, p, q, phi)
+
+
+def _mask(points):
+    return sum(1 << x for x in points)
+
+
+def reference_q6_criteria(src, dst, mapping):
+    """The clause check as it was before it validated the map itself: a
+    ``MorphismMap`` validates the map, the level is walked with
+    ``iter_bits``, and the last clause is a second pass over the exceptional
+    points outside the preimage."""
+    s_level, exc_src = src.poset.minimals_mask(), _mask(q6_params_of(src)[2])
+    t_level, exc_dst = dst.poset.minimals_mask(), _mask(q6_params_of(dst)[2])
+    phi = MorphismMap(src, dst, tuple(mapping)).mapping
+    image = preimage = preimage_image = once = twice = 0
+    equivariant = injective = True
+    for x in iter_bits(s_level):
+        t = phi[x]
+        bit = 1 << t
+        image |= bit
+        if phi[src.zeta[x]] != dst.zeta[t]:
+            equivariant = False
+        if bit & exc_dst:
+            preimage |= 1 << x
+            if bit & preimage_image:
+                injective = False
+            preimage_image |= bit
+        else:
+            twice |= once & bit
+            once |= bit
+    clause1 = image == t_level and equivariant
+    clause2 = not preimage & ~exc_src
+    clause4 = all((twice >> phi[x]) & 1 for x in iter_bits(exc_src & ~preimage))
+    return Q6CriteriaReport(clause1, clause2, injective, clause4)
+
+
+def reference_q6_sweep(sizes):
+    """The maps of the criterion-14 sweep as it first built them: a fresh
+    target per source and each map a list filled in place.  Yields
+    ``(src, dst, phi)`` for the sources ``q6(m, n)`` with ``n`` in
+    ``sizes``; the criterion runs ``sizes = (3, 4)``."""
+    for n in sizes:
+        for m in range(n + 1):
+            src = catalog.q6(m, n)
+            for q in (3, 4):
+                for p in range(q + 1):
+                    dst = catalog.q6(p, q)
+                    for choice in itertools.product(range(dst.n), repeat=n):
+                        phi = [0] * src.n
+                        for i in range(n):
+                            phi[i] = choice[i]
+                            phi[n + i] = dst.zeta[choice[i]]
+                        yield src, dst, phi
+
+
+def test_criteria_match_reference_on_the_sweep():
+    """Over the n = 3 slice of the criterion-14 sweep: the map built as a
+    tuple equals the one filled in place, the clause reports equal the
+    reference, and testing surjectivity before the full check gives the
+    verdict of the full check before surjectivity."""
+    checked = 0
+    for src, dst, phi in reference_q6_sweep((3,)):
+        choice = tuple(phi[:3])
+        built = choice + tuple(dst.zeta[t] for t in choice)
+        assert built == tuple(phi)
+        report = check_q6_criteria(src, dst, built)
+        assert report == reference_q6_criteria(src, dst, phi), (src, dst, phi)
+        surjective_first = len(set(built)) == dst.n and check_pm_morphism(src, dst, built).ok
+        check_first = check_pm_morphism(src, dst, phi).ok and len(set(phi)) == dst.n
+        assert report.ok == surjective_first == check_first, (src, dst, phi)
+        checked += 1
+    assert checked == 4 * (4 * 6**3 + 5 * 8**3)
+
+
+def test_sweep_has_few_surjective_maps():
+    """Only the surjective maps of criterion 14 reach the full map check."""
+    maps = surjective = 0
+    for _, dst, phi in reference_q6_sweep((3, 4)):
+        maps += 1
+        surjective += len(set(phi)) == dst.n
+    assert (maps, surjective) == (142016, 21888)
+
+
+def _raised(func, *args):
+    try:
+        func(*args)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0] * 5,
+        [0] * 7,
+        [6] + [0] * 5,
+        [0] * 5 + [-1],
+        [0.0] + [0] * 5,
+        [True] + [0] * 5,
+        [0, 0, "0", 0, 0, 0],
+        [0] * 5 + [None],
+        [7, 0.5, 0, 0, 0, 0],
+    ],
+    ids=["short", "long", "above", "negative", "float", "bool", "str", "none", "float-and-above"],
+)
+def test_invalid_maps_rejected_like_reference(bad):
+    """One validator: the same error type and message from the clause check,
+    its reference, the full check and ``MorphismMap``."""
+    src, dst = catalog.q6(1, 3), catalog.q6(0, 3)
+    expected = _raised(reference_q6_criteria, src, dst, bad)
+    assert expected is not None and expected[0] is IndexOutOfRange
+    assert _raised(check_q6_criteria, src, dst, bad) == expected
+    assert _raised(check_pm_morphism, src, dst, bad) == expected
+    assert _raised(MorphismMap, src, dst, bad) == expected
