@@ -7,7 +7,9 @@ involution image) and the derived dual pseudocomplement.  Inside, an element
 is the bitmask of its points: the elements are enumerated once as masks in
 the canonical order (by cardinality, then by sorted index tuple), and every
 operation and query works on masks through one definition of star and
-prime.  The public methods take and return frozensets of points.
+prime.  That definition lives on :class:`SpaceOps`, which needs only the
+space, so the subalgebra closure can use it without the downsets.  The
+public methods take and return frozensets of points.
 """
 
 from __future__ import annotations
@@ -19,24 +21,47 @@ from .order import DOWNSET_LIMIT, Poset, canonical_sort, iter_bits
 from .space import Space
 
 
-class Algebra:
-    """All downsets of a space, with the four algebra operations."""
+class SpaceOps:
+    """Star and prime on the point masks of a space.
 
-    __slots__ = ("space", "_index", "_up", "_zeta_bits", "_top", "_elements")
+    They need only the up rows, the involution and the top, not the
+    downsets, so a closure can run on a space without building its algebra.
+    """
 
-    def __init__(self, space: Space, limit: int = DOWNSET_LIMIT):
+    __slots__ = ("space", "_up", "_zeta_bits", "_top")
+
+    def __init__(self, space: Space):
         poset = space.poset
-        masks = poset.downset_masks(limit)
         object.__setattr__(self, "space", space)
-        # element masks mapped to their positions, in the canonical order
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(masks)})
         object.__setattr__(self, "_up", tuple(map(poset.up_mask, range(space.n))))
         object.__setattr__(self, "_zeta_bits", tuple(1 << z for z in space.zeta))
         object.__setattr__(self, "_top", poset.all_mask)
-        object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, name, val):
-        raise AttributeError("Algebra is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def images(self, mask: int) -> tuple[int, int]:
+        """Star and prime of the point set ``mask`` in one pass: the
+        complements of its up-closure and of its involution image."""
+        up, zeta_bits = self._up, self._zeta_bits
+        covered = image = 0
+        for i in iter_bits(mask):
+            covered |= up[i]
+            image |= zeta_bits[i]
+        return self._top & ~covered, self._top & ~image
+
+
+class Algebra(SpaceOps):
+    """All downsets of a space, with the four algebra operations."""
+
+    __slots__ = ("_index", "_elements")
+
+    def __init__(self, space: Space, limit: int = DOWNSET_LIMIT):
+        masks = space.poset.downset_masks(limit)
+        super().__init__(space)
+        # element masks mapped to their positions, in the canonical order
+        object.__setattr__(self, "_index", {m: i for i, m in enumerate(masks)})
+        object.__setattr__(self, "_elements", None)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -64,27 +89,22 @@ class Algebra:
         return Poset.set_of(self._top)
 
     def mask_of(self, xs: Iterable[int]) -> int:
-        """Bitmask of the element with points ``xs``, or :class:`NotAnElement`."""
-        xs = frozenset(xs)
-        mask = sum(1 << x for x in xs if isinstance(x, int) and 0 <= x < len(self._up))
-        if mask.bit_count() == len(xs) and mask in self._index:
-            return mask
+        """Bitmask of the element with points ``xs``, or :class:`NotAnElement`.
+        A point is a non-bool int, as a map image is in :mod:`pmkit.morphism`."""
+        xs = tuple(xs)
+        n = len(self._up)
+        if all(type(x) is int and 0 <= x < n for x in xs):
+            mask = 0
+            for x in xs:
+                mask |= 1 << x
+            if mask in self._index:
+                return mask
         raise NotAnElement(f"{sorted(xs)} is not a downset of this space")
 
     def index_of(self, xs: Iterable[int]) -> int:
         return self._index[self.mask_of(xs)]
 
     # -- operations ----------------------------------------------------------
-
-    def images(self, mask: int) -> tuple[int, int]:
-        """Star and prime of the point set ``mask`` in one pass: the
-        complements of its up-closure and of its involution image."""
-        up, zeta_bits = self._up, self._zeta_bits
-        covered = image = 0
-        for i in iter_bits(mask):
-            covered |= up[i]
-            image |= zeta_bits[i]
-        return self._top & ~covered, self._top & ~image
 
     def _prime_star(self, mask: int) -> int:
         return self.images(self.images(mask)[1])[0]

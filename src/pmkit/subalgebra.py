@@ -1,56 +1,96 @@
 """Subalgebra generation by closure, and finiteness/growth experiments.
 
-The closure works on element masks, with the algebra's own star and prime,
-through the least generated member containing each point.  Those least
-members fix the generated {0,1}-sublattice (its members are exactly their
-unions), so closing under the two unary operations only needs each distinct
-least member checked once; the members are listed by unions and become
-frozensets, in the canonical order, only at the end.  Growth experiments on
-the width-2 grid family show one generator producing at least ``n``
-elements, the finite shadow of a free algebra being infinite.
+The closure works on element masks, with the space's own star and prime
+(:class:`~pmkit.algebra.SpaceOps`), through the least generated member
+containing each point.  Those least members fix the generated
+{0,1}-sublattice (its members are exactly their unions), so closing under
+the two unary operations only needs each distinct least member checked
+once.  The members are listed by unions and stay masks: a
+:class:`ClosureResult` makes frozensets, in the canonical order, only when
+its ``generated`` tuple is first read.  Growth experiments on the width-2
+grid family show one generator producing at least ``n`` elements, the
+finite shadow of a free algebra being infinite; they run the closure on
+the space alone and never enumerate the downset algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import catalog
-from .algebra import Algebra, dual_algebra
-from .errors import BadParams, Overflow, check_natural
+from .algebra import Algebra, SpaceOps, dual_algebra
+from .errors import BadParams, Overflow, SizeLimitExceeded, check_natural
 from .order import DOWNSET_LIMIT, Poset, canonical_sort, iter_bits
 
 
-@dataclass(frozen=True)
 class ClosureResult:
-    """A generated subalgebra, in canonical element order.
+    """A generated subalgebra.
+
+    The members are kept as the bitmasks of their points.  ``generated``
+    lists them as frozensets, in the canonical element order, on first read
+    and keeps the tuple; ``len()``, equality, ``generator_count`` and
+    ``op_applications`` make no frozensets.  The hash is that of the tuple
+    ``(generated, generator_count, op_applications)``, so hashing lists.
 
     ``op_applications`` counts the star and prime evaluations and the joins
     made by the closure.
     """
 
-    generated: tuple[frozenset[int], ...]
-    generator_count: int
-    op_applications: int
+    __slots__ = ("_masks", "generator_count", "op_applications", "_generated")
+
+    def __init__(self, masks: set[int], generator_count: int, op_applications: int):
+        # The set is kept as handed over, without a copy; nothing mutates it.
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "generator_count", generator_count)
+        object.__setattr__(self, "op_applications", op_applications)
+        object.__setattr__(self, "_generated", None)
+
+    def __setattr__(self, name, val):
+        raise AttributeError("ClosureResult is immutable")
+
+    @property
+    def generated(self) -> tuple[frozenset[int], ...]:
+        """The members as frozensets of points, in the canonical order."""
+        if self._generated is None:
+            # The top is a member, so its bit length is the point count.
+            out = canonical_sort(self._masks, max(self._masks).bit_length())
+            object.__setattr__(self, "_generated", tuple(map(Poset.set_of, out)))
+        return self._generated
 
     def __len__(self) -> int:
-        return len(self.generated)
+        return len(self._masks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self._masks, self.generator_count, self.op_applications)
+        return mine == (other._masks, other.generator_count, other.op_applications)
+
+    def __hash__(self):
+        return hash((self.generated, self.generator_count, self.op_applications))
+
+    def __repr__(self):
+        return (
+            f"ClosureResult(generated={self.generated!r}, "
+            f"generator_count={self.generator_count!r}, "
+            f"op_applications={self.op_applications!r})"
+        )
 
 
-def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> ClosureResult:
-    """Least subset of the algebra containing the generators and constants,
-    closed under meet, join, pseudocomplement and the de Morgan operation."""
-    gens = [algebra.mask_of(g) for g in gens]
-    top = algebra.space.poset.all_mask
+def _close(ops: SpaceOps, gens: Iterable[int], limit: int) -> tuple[set[int], int]:
+    """Masks of the members of the subalgebra generated by the downset
+    masks ``gens``, and the op applications spent on them.  Raises
+    :class:`SizeLimitExceeded` once more than ``limit`` members are listed."""
+    top = ops.space.poset.all_mask
     # least[i] is the least generated member containing point i: the meet of
     # the top and every generator containing i (Birkhoff).  The generated
     # {0,1}-sublattice is exactly the set of unions of these blocks (0 is the
     # empty union, the top the union of all):
     # k in least[i] gives least[k] <= least[i], so meets of unions are again
     # unions, and a mask y is a member iff least[i] <= y for every i in y.
-    least = [top] * algebra.space.n
+    least = [top] * ops.space.n
     checked: set[int] = set()
-    ops = 0
+    count = 0
 
     def refine(g: int) -> None:
         for i in iter_bits(g):
@@ -65,32 +105,48 @@ def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> Clos
     while fresh := set(least) - checked:
         for block in fresh:
             checked.add(block)
-            ops += 2
-            for y in algebra.images(block):
+            count += 2
+            for y in ops.images(block):
                 if any(least[i] & ~y for i in iter_bits(y)):
                     refine(y)
+    # The member count never falls, so the limit is enforced as soon as it
+    # is passed; a union step at most doubles the count, so at most twice
+    # the limit is ever listed.
     found = {0}
     for block in set(least):
-        ops += len(found)
+        count += len(found)
         found |= {f | block for f in found}
-    out = canonical_sort(found, algebra.space.n)
-    return ClosureResult(tuple(map(Poset.set_of, out)), len(gens), ops)
+        if len(found) > limit:
+            raise SizeLimitExceeded(
+                f"more than {limit} subalgebra members; raise the limit to proceed"
+            )
+    return found, count
+
+
+def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> ClosureResult:
+    """Least subset of the algebra containing the generators and constants,
+    closed under meet, join, pseudocomplement and the de Morgan operation."""
+    gens = [algebra.mask_of(g) for g in gens]
+    # a subset of the algebra cannot outgrow it, so the limit never binds
+    members, count = _close(algebra, gens, len(algebra))
+    return ClosureResult(members, len(gens), count)
 
 
 def is_closed_family(algebra: Algebra, family: Iterable[Iterable[int]]) -> bool:
     """Check a family is a subalgebra: it equals its own closure, so it
     contains the constants and is closed under all four operations."""
     family = {frozenset(f) for f in family}
-    return set(generate_subalgebra(algebra, family).generated) == family
+    # the family lies in its closure, so the two are equal iff equally large
+    return len(generate_subalgebra(algebra, family)) == len(family)
 
 
 def one_generator_growth(n: int, limit: int = DOWNSET_LIMIT) -> int:
     """Size of the subalgebra generated by the first minimal singleton in
-    the dual algebra of the width-2 grid; always at least ``n``."""
-    space = catalog.range2_grid(n)
-    algebra = dual_algebra(space, limit)
-    closure = generate_subalgebra(algebra, [frozenset((0,))])
-    return len(closure)
+    the dual algebra of the width-2 grid; always at least ``n``.  Raises
+    :class:`SizeLimitExceeded` when it has more than ``limit`` members."""
+    # point 0 is minimal, so its singleton (mask 1) is a downset
+    members, _ = _close(SpaceOps(catalog.range2_grid(n)), [1], limit)
+    return len(members)
 
 
 def local_finiteness_bound(generators: int) -> int:
@@ -125,9 +181,9 @@ def crown_bound_check(n: int, generators: int) -> bool:
         raise BadParams(f"crown bound check supports 2 <= n <= 4, got {n}")
     if generators not in (0, 1):
         raise BadParams("only N in {0, 1} is supported")
-    algebra = dual_algebra(catalog.crown_pair(n))
+    space = catalog.crown_pair(n)
     ceiling = crown_bound_ceiling(generators)
     if generators == 0:
-        return len(generate_subalgebra(algebra, [])) <= ceiling
+        return len(_close(SpaceOps(space), [], DOWNSET_LIMIT)[0]) <= ceiling
     # Every one-generator closure is a subset of the algebra.
-    return len(algebra) <= ceiling
+    return len(dual_algebra(space)) <= ceiling

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pmkit.cli import main
+from pmkit.document import MAX_ELEMENTS
 
 
 def run(capsys, *argv):
@@ -65,6 +66,15 @@ def test_unreadable_or_malformed_document_is_a_parse_error(tmp_path, capsys, mak
     code, _, err = run(capsys, "kind", path)
     assert code == 2
     assert "ParseError" in err
+
+
+def test_document_above_the_element_cap_is_a_parse_error(tmp_path, capsys):
+    names = [f"e{i}" for i in range(MAX_ELEMENTS + 1)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"elements": names, "leq": [], "zeta": names}))
+    code, _, err = run(capsys, "kind", str(path))
+    assert code == 2
+    assert f"ParseError: a document may list at most {MAX_ELEMENTS} elements" in err
 
 
 def test_validate_unknown_token(capsys):
@@ -178,6 +188,17 @@ def test_grow(capsys):
     code, out, _ = run(capsys, "grow", "12")
     assert code == 0
     assert "size: 8233" in out
+    code, out, _ = run(capsys, "grow", "16")
+    assert code == 0
+    assert "size: 131129" in out
+
+
+def test_grow_past_the_limit_is_a_size_error(capsys):
+    """grid:30 generates billions of members; the listing stops once it
+    passes the default limit of 2**20."""
+    code, _, err = run(capsys, "grow", "30")
+    assert code == 2
+    assert "SizeLimitExceeded: more than 1048576 subalgebra members" in err
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from pmkit import catalog, format_space, is_pm_isomorphic, parse_space
+from pmkit import Poset, catalog, format_space, is_pm_isomorphic, parse_space
+from pmkit.document import MAX_ELEMENTS
 from pmkit.errors import BadParams, InvolutionBroken, ParseError
 
 
@@ -81,6 +82,28 @@ def test_parse_surfaces_involution_break():
         }
     )
     with pytest.raises(InvolutionBroken):
+        parse_space(doc)
+
+
+def test_parse_admits_a_document_at_the_element_cap():
+    """Two-element chains x <= zx, swapped by zeta, up to the cap."""
+    names = [f"e{i}" for i in range(MAX_ELEMENTS)]
+    pairs = [[names[i], names[i + 1]] for i in range(0, MAX_ELEMENTS, 2)]
+    named = parse_space(json.dumps({"elements": names, "leq": pairs, "zeta": pairs}))
+    assert named.space.n == MAX_ELEMENTS
+    assert named.space.zeta[:4] == (1, 0, 3, 2)
+    assert parse_space(format_space(named.space, names)) == named
+
+
+def test_parse_refuses_more_elements_than_the_cap_before_closing_the_order(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the order was closed")
+
+    monkeypatch.setattr(Poset, "from_pairs", refuse)
+    names = [f"e{i}" for i in range(MAX_ELEMENTS + 1)]
+    doc = json.dumps({"elements": names, "leq": [], "zeta": names})
+    message = f"^a document may list at most {MAX_ELEMENTS} elements, got {MAX_ELEMENTS + 1}$"
+    with pytest.raises(ParseError, match=message):
         parse_space(doc)
 
 

@@ -1,11 +1,13 @@
 """Closure generation, growth experiments, finiteness ceilings."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from pmkit import acceptance, catalog, dual_algebra
-from pmkit.errors import BadParams, NotAnElement, Overflow
+from pmkit import acceptance, algebra as algebra_module, catalog, dual_algebra, order
+from pmkit import subalgebra
+from pmkit.errors import BadParams, NotAnElement, Overflow, SizeLimitExceeded
 from pmkit.subalgebra import (
     ClosureResult,
     crown_bound_ceiling,
@@ -19,6 +21,17 @@ from pmkit.subalgebra import (
 
 def fs(*xs):
     return frozenset(xs)
+
+
+@dataclass(frozen=True)
+class Saturation:
+    """The reference closure's result: its members as frozensets, in the
+    order it sorts them itself, so the comparison also checks the order
+    ``ClosureResult.generated`` lists."""
+
+    generated: tuple[frozenset[int], ...]
+    generator_count: int
+    op_applications: int
 
 
 def saturate(algebra, gens):
@@ -48,7 +61,7 @@ def saturate(algebra, gens):
         generated |= fresh
         worklist = list(fresh)
     out = sorted(generated, key=lambda s: (len(s), tuple(sorted(s))))
-    return ClosureResult(tuple(out), len(gens), ops)
+    return Saturation(tuple(out), len(gens), ops)
 
 
 # -- closure basics ---------------------------------------------------------------
@@ -74,6 +87,68 @@ def test_closure_rejects_non_elements():
     algebra = dual_algebra(catalog.q(2))
     with pytest.raises(NotAnElement):
         generate_subalgebra(algebra, [fs(1)])
+
+
+def test_closure_rejects_bool_points():
+    """True is not point 1: a bool point is no element, as a bool map image
+    is no point."""
+    algebra = dual_algebra(catalog.q6(1, 3))
+    assert algebra.mask_of([1]) == 2 and algebra.mask_of([1, 0]) == 3
+    for points in ([True], [True, 0], [1, True], [False]):
+        assert points not in algebra
+        with pytest.raises(NotAnElement):
+            algebra.mask_of(points)
+        with pytest.raises(NotAnElement):
+            generate_subalgebra(algebra, [points])
+
+
+def test_closure_result_equality_and_hash():
+    """Results compare by members, generator count and op applications, and
+    hash as the tuple of the three, with the members listed."""
+    algebra = dual_algebra(catalog.q6(2, 4))
+    first = generate_subalgebra(algebra, [fs(0)])
+    again = generate_subalgebra(algebra, [[0]])
+    assert first == again and not first != again
+    assert hash(first) == hash(again)
+    assert hash(first) == hash((first.generated, first.generator_count, first.op_applications))
+    assert len({first, again}) == 1
+    twice = generate_subalgebra(algebra, [fs(0), fs(0)])
+    assert twice.generated == first.generated and twice != first
+    other = generate_subalgebra(algebra, [fs(0, 1)])
+    assert other != first
+    masks = {sum(1 << x for x in xs) for xs in first.generated}
+    assert ClosureResult(masks, 1, first.op_applications) == first
+    assert ClosureResult(masks, 1, first.op_applications + 1) != first
+    assert first != first.generated and first != None  # noqa: E711
+    assert first.generated is first.generated
+    with pytest.raises(AttributeError):
+        first.op_applications = 0
+
+
+def _forbid_listing(monkeypatch):
+    """Make any frozenset listing of masks raise."""
+
+    def listing(*args):
+        raise AssertionError("members were listed as frozensets")
+
+    monkeypatch.setattr(order.Poset, "set_of", staticmethod(listing))
+    for module in (order, algebra_module, subalgebra):
+        monkeypatch.setattr(module, "canonical_sort", listing)
+
+
+def test_closure_size_and_checks_list_no_frozensets(monkeypatch):
+    """Size, equality, growth and the closed-family test stay on masks."""
+    algebra = dual_algebra(catalog.range2_grid(6))
+    family = generate_subalgebra(algebra, [fs(0, 1)]).generated
+    _forbid_listing(monkeypatch)
+    result = generate_subalgebra(algebra, [fs(0)])
+    assert len(result) == 145 and result.op_applications > 0
+    assert result == generate_subalgebra(algebra, [fs(0)])
+    assert one_generator_growth(10) == 2081
+    assert is_closed_family(algebra, family)
+    assert not is_closed_family(algebra, family[:-1])
+    monkeypatch.undo()
+    assert len(result.generated) == 145
 
 
 def test_closure_operator_laws():
@@ -158,6 +233,28 @@ def test_growth_meets_bound():
 
 def test_growth_sizes():
     assert [one_generator_growth(n) for n in range(9, 13)] == [1053, 2081, 4133, 8233]
+    sizes = [one_generator_growth(n) for n in range(13, 17)]
+    assert sizes == [16429, 32817, 65589, 131129]
+    assert sizes == [2 ** (n + 1) + 4 * n - 7 for n in range(13, 17)]
+
+
+def test_growth_builds_no_algebra(monkeypatch):
+    """Growth and the generator-free crown check run the closure on the
+    space alone: no downset enumeration, no algebra."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(order.Poset, "downset_masks", refuse)
+    monkeypatch.setattr(algebra_module.Algebra, "__init__", refuse)
+    assert one_generator_growth(10) == 2081
+    assert crown_bound_check(3, 0)
+
+
+def test_growth_limit_is_inclusive():
+    assert one_generator_growth(12, limit=8233) == 8233
+    with pytest.raises(SizeLimitExceeded):
+        one_generator_growth(12, limit=8232)
 
 
 def test_growth_closure_contains_every_minimal_singleton():
