@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import NotAnElement, NotRegular, check_natural
-from .order import DOWNSET_LIMIT, Poset, canonical_sort, iter_bits
+from .order import DOWNSET_LIMIT, Poset, canonical_sort, closed_masks, iter_bits
 from .space import Space
 
 
@@ -69,7 +69,7 @@ class Algebra(SpaceOps):
     def __contains__(self, xs) -> bool:
         try:
             self.mask_of(xs)
-        except (NotAnElement, TypeError):
+        except NotAnElement:
             return False
         return True
 
@@ -91,7 +91,10 @@ class Algebra(SpaceOps):
     def mask_of(self, xs: Iterable[int]) -> int:
         """Bitmask of the element with points ``xs``, or :class:`NotAnElement`.
         A point is a non-bool int, as a map image is in :mod:`pmkit.morphism`."""
-        xs = tuple(xs)
+        try:
+            xs = tuple(xs)
+        except TypeError:
+            raise NotAnElement(f"{xs!r} is not a set of points") from None
         n = len(self._up)
         if all(type(x) is int and 0 <= x < n for x in xs):
             mask = 0
@@ -99,7 +102,11 @@ class Algebra(SpaceOps):
                 mask |= 1 << x
             if mask in self._index:
                 return mask
-        raise NotAnElement(f"{sorted(xs)} is not a downset of this space")
+        try:
+            xs = sorted(xs)
+        except TypeError:  # points of mixed types, listed as given
+            xs = list(xs)
+        raise NotAnElement(f"{xs} is not a downset of this space")
 
     def index_of(self, xs: Iterable[int]) -> int:
         return self._index[self.mask_of(xs)]
@@ -200,12 +207,13 @@ class Algebra(SpaceOps):
         """All sets that are involution-closed and up-closed on their minimal part.
 
         These correspond one-to-one with the congruences of the algebra; the
-        family is closed under union and intersection, so it is exactly the
-        set of unions of the per-point generated sets.
+        family is closed under union and intersection, so
+        :func:`~pmkit.order.closed_masks` lists it from the per-point
+        generated sets, raising :class:`SizeLimitExceeded` past
+        ``DOWNSET_LIMIT`` sets.
         """
-        found = {0}
-        for gen in {self._congruence_generator(x) for x in range(self.space.n)}:
-            found |= {m | gen for m in found}
+        gens = [self._congruence_generator(x) for x in range(self.space.n)]
+        found = closed_masks(gens, DOWNSET_LIMIT, "congruence sets")
         return tuple(map(Poset.set_of, canonical_sort(found, self.space.n)))
 
     # -- duality round trip ----------------------------------------------------

@@ -35,6 +35,7 @@ from .errors import (
     IndexOutOfRange,
     NotBooleanSubalgebra,
     PairedSingletonViolation,
+    check_natural,
 )
 from .order import Poset, canonical_sort
 from .space import Space
@@ -44,6 +45,7 @@ def q(i: int) -> Space:
     """The six small spaces: a fixed point, a swapped pair, a two-chain,
     two swapped two-chains, and the two four-element crowns (with and
     without one missing diagonal relation)."""
+    check_natural(i, "i")
     if i == 0:
         return Space(Poset.antichain(1), (0,))
     if i == 1:
@@ -77,6 +79,8 @@ def _two_level(k: int, below) -> Space:
 def q6(m: int, n: int) -> Space:
     """Two-level bipartite space on 2n points; the first ``m`` minimals are
     exactly the ones not below their own involution image."""
+    check_natural(m, "m")
+    check_natural(n, "n")
     if n < 3 or not 0 <= m <= n:
         raise BadParams(f"q6 requires n >= 3 and 0 <= m <= n, got ({m}, {n})")
     return _two_level(n, lambda i, j: i != j or i >= m)
@@ -84,6 +88,7 @@ def q6(m: int, n: int) -> Space:
 
 def range2_grid(n: int) -> Space:
     """Grid family of width 2: ``x_i < y_j`` unless the indices are adjacent."""
+    check_natural(n, "n")
     if n < 5:
         raise BadParams(f"range2_grid requires n >= 5, got {n}")
     return _two_level(n, lambda i, j: abs(i - j) != 1)
@@ -91,6 +96,7 @@ def range2_grid(n: int) -> Space:
 
 def crown_pair(n: int) -> Space:
     """Doubled crown on 4n points; mixed relations hold iff indices differ."""
+    check_natural(n, "n")
     if n < 2:
         raise BadParams(f"crown_pair requires n >= 2, got {n}")
     return _two_level(2 * n, lambda i, j: (i < n) == (j < n) or i % n != j % n)

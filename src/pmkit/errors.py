@@ -64,7 +64,8 @@ class NotAnElement(PmkitError):
 
 
 class SizeLimitExceeded(PmkitError):
-    """Downset enumeration passed the configured cap."""
+    """A listing of sets (downsets, subalgebra members, congruence sets)
+    passed its limit."""
 
 
 class SearchBudgetExceeded(PmkitError):

@@ -5,6 +5,9 @@ relation), so comparability queries are O(1) word operations.  Distances are
 measured in the comparability graph: an edge joins two distinct comparable
 elements, and the distance across different order components is infinite.
 Infinity is a symbolic :class:`Distance` value, never a numeric sentinel.
+:func:`closed_masks` is the one listing of a family closed under union and
+intersection (downsets, subalgebra members, congruence sets), and the one
+place its size budget is enforced.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -43,6 +46,30 @@ def canonical_sort(masks: Iterable[int], n: int) -> list[int]:
     out = sorted(masks, key=lambda m: format(m, width)[::-1], reverse=True)
     out.sort(key=int.bit_count)
     return out
+
+
+def closed_masks(rows: Sequence[int], limit: int, what: str) -> list[int]:
+    """Every mask ``y`` with ``rows[i] <= y`` for each point ``i`` of ``y``,
+    where ``rows[i]`` holds ``i`` and ``k`` in ``rows[i]`` gives ``rows[k] <=
+    rows[i]``.  Such a family is closed under union and intersection, and
+    every such family has these rows, its least members (Birkhoff): this one
+    routine lists downsets, subalgebra members and congruence sets.  Raises
+    :class:`SizeLimitExceeded` once more than ``limit`` ``what`` exist."""
+    check_natural(limit, "limit")
+    # A mask is smaller than its proper supersets, so along the distinct rows in
+    # increasing order the closed sets of each prefix are those of the previous
+    # one, and their unions with the new row where they hold its points seen so
+    # far.  The row's unseen points are its class, those sharing the row.
+    found, seen = [0], 0
+    for row in sorted(set(rows)):
+        if len(found) > limit:
+            break
+        below = row & seen
+        found += [m | row for m in found if not below & ~m]
+        seen |= row
+    if len(found) > limit:
+        raise SizeLimitExceeded(f"more than {limit} {what}; raise the limit to proceed")
+    return found
 
 
 @total_ordering
@@ -346,22 +373,7 @@ class Poset:
 
         Raises :class:`SizeLimitExceeded` once more than ``limit`` sets exist.
         """
-        # Along a linear extension, the downsets of each prefix are those of
-        # the previous prefix, with and without the new element; the count
-        # never falls, so the limit can be enforced as soon as it is passed.
-        order = sorted(range(self.n), key=lambda i: self._down[i].bit_count())
-        found = [0]
-        for e in order:
-            if len(found) > limit:
-                break
-            bit = 1 << e
-            below = self._down[e] ^ bit
-            found += [m | bit for m in found if not below & ~m]
-        if len(found) > limit:
-            raise SizeLimitExceeded(
-                f"more than {limit} downsets; raise the limit to proceed"
-            )
-        return canonical_sort(found, self.n)
+        return canonical_sort(closed_masks(self._down, limit, "downsets"), self.n)
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs ``(a, b)``: a < b with nothing strictly between."""

@@ -5,7 +5,8 @@ The closure works on element masks, with the space's own star and prime
 containing each point.  Those least members fix the generated
 {0,1}-sublattice (its members are exactly their unions), so closing under
 the two unary operations only needs each distinct least member checked
-once.  The members are listed by unions and stay masks: a
+once.  The members are listed from those least members by
+:func:`~pmkit.order.closed_masks`, and stay masks: a
 :class:`ClosureResult` makes frozensets, in the canonical order, only when
 its ``generated`` tuple is first read.  Growth experiments on the width-2
 grid family show one generator producing at least ``n`` elements, the
@@ -19,8 +20,8 @@ from typing import Iterable
 
 from . import catalog
 from .algebra import Algebra, SpaceOps, dual_algebra
-from .errors import BadParams, Overflow, SizeLimitExceeded, check_natural
-from .order import DOWNSET_LIMIT, Poset, canonical_sort, iter_bits
+from .errors import BadParams, Overflow, check_natural
+from .order import DOWNSET_LIMIT, Poset, canonical_sort, closed_masks, iter_bits
 
 
 class ClosureResult:
@@ -77,7 +78,7 @@ class ClosureResult:
         )
 
 
-def _close(ops: SpaceOps, gens: Iterable[int], limit: int) -> tuple[set[int], int]:
+def _close(ops: SpaceOps, gens: Iterable[int], limit: int) -> tuple[list[int], int]:
     """Masks of the members of the subalgebra generated by the downset
     masks ``gens``, and the op applications spent on them.  Raises
     :class:`SizeLimitExceeded` once more than ``limit`` members are listed."""
@@ -109,18 +110,9 @@ def _close(ops: SpaceOps, gens: Iterable[int], limit: int) -> tuple[set[int], in
             for y in ops.images(block):
                 if any(least[i] & ~y for i in iter_bits(y)):
                     refine(y)
-    # The member count never falls, so the limit is enforced as soon as it
-    # is passed; a union step at most doubles the count, so at most twice
-    # the limit is ever listed.
-    found = {0}
-    for block in set(least):
-        count += len(found)
-        found |= {f | block for f in found}
-        if len(found) > limit:
-            raise SizeLimitExceeded(
-                f"more than {limit} subalgebra members; raise the limit to proceed"
-            )
-    return found, count
+    # one join per member listed, past the empty union
+    found = closed_masks(least, limit, "subalgebra members")
+    return found, count + len(found) - 1
 
 
 def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> ClosureResult:
@@ -129,7 +121,7 @@ def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> Clos
     gens = [algebra.mask_of(g) for g in gens]
     # a subset of the algebra cannot outgrow it, so the limit never binds
     members, count = _close(algebra, gens, len(algebra))
-    return ClosureResult(members, len(gens), count)
+    return ClosureResult(set(members), len(gens), count)
 
 
 def is_closed_family(algebra: Algebra, family: Iterable[Iterable[int]]) -> bool:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pmkit import Poset, Space, acceptance, catalog, dual_algebra
+from pmkit import Poset, Space, acceptance, catalog, dual_algebra, generate_subalgebra
 from pmkit.errors import (
     BadParams,
     IndexOutOfRange,
@@ -199,6 +199,28 @@ def test_range_steps_reject_bad_k(method, k):
     algebra = dual_algebra(catalog.q6(1, 3))
     with pytest.raises(BadParams, match="step count must be a natural number"):
         getattr(algebra, method)(fs(), k)
+
+
+@pytest.mark.parametrize("points", [["a", 1], [1, "a", None], 5, None])
+def test_mixed_or_non_iterable_points_are_not_elements(points):
+    """Points that do not sort, and a non-iterable, are no element: the
+    typed error, not a TypeError from building its message."""
+    algebra = dual_algebra(catalog.q(2))
+    assert points not in algebra
+    with pytest.raises(NotAnElement):
+        algebra.star(points)
+    with pytest.raises(NotAnElement):
+        algebra.index_of(points)
+    with pytest.raises(NotAnElement):
+        generate_subalgebra(algebra, [[0], points])
+
+
+def test_not_an_element_message_lists_int_points_sorted():
+    algebra = dual_algebra(catalog.q(2))
+    for points, shown in (([1], "[1]"), ((2, 0), "[0, 2]"), ([1, True], "[1, True]")):
+        with pytest.raises(NotAnElement) as caught:
+            algebra.star(points)
+        assert str(caught.value) == f"{shown} is not a downset of this space"
 
 
 def test_size_limit():
@@ -425,6 +447,24 @@ def test_congruence_sets_brute_force(catalog_spaces):
         assert set(dual_algebra(space).congruence_sets()) == brute, name
         sizes[name] = len(brute)
     assert all(sizes[name] > 2 for name, _ in unions)
+
+
+def reversed_chain(n):
+    """The n-chain with the involution reversing it."""
+    return Space(Poset.chain(n), tuple(reversed(range(n))))
+
+
+def test_congruence_sets_of_reversed_chains():
+    """An even n-chain has 2**((n-2)/2) + 1 congruence sets."""
+    counts = [len(dual_algebra(reversed_chain(n)).congruence_sets()) for n in range(6, 15, 2)]
+    assert counts == [5, 9, 17, 33, 65]
+
+
+def test_congruence_sets_are_budgeted():
+    """The 42-chain has 2**20 + 1 congruence sets, one past the budget."""
+    algebra = dual_algebra(reversed_chain(42))
+    with pytest.raises(SizeLimitExceeded, match="more than 1048576 congruence sets"):
+        algebra.congruence_sets()
 
 
 def test_congruence_sets_also_down_closed_on_maximals(catalog_spaces):

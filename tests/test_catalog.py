@@ -11,7 +11,7 @@ from pmkit.errors import (
     NotBooleanSubalgebra,
     PairedSingletonViolation,
 )
-from pmkit.subalgebra import generate_subalgebra, is_closed_family
+from pmkit.subalgebra import generate_subalgebra, is_closed_family, one_generator_growth
 
 
 def fs(*xs):
@@ -33,6 +33,33 @@ def powerset(ground):
 def test_q_index_range():
     with pytest.raises(IndexOutOfRange):
         catalog.q(6)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (catalog.q6, (1.0, 4.0), "m must be a natural number, got 1.0"),
+        (catalog.q6, (1, 4.0), "n must be a natural number, got 4.0"),
+        (catalog.q6, (True, 3), "m must be a natural number, got True"),
+        (catalog.q6, (-1, 4), "m must be a natural number, got -1"),
+        (catalog.range2_grid, (5.5,), "n must be a natural number, got 5.5"),
+        (catalog.range2_grid, ("6",), "n must be a natural number, got '6'"),
+        (catalog.crown_pair, (2.0,), "n must be a natural number, got 2.0"),
+        (catalog.crown_pair, (None,), "n must be a natural number, got None"),
+        (catalog.q, (1.0,), "i must be a natural number, got 1.0"),
+        (catalog.q, (False,), "i must be a natural number, got False"),
+        (one_generator_growth, (6.0,), "n must be a natural number, got 6.0"),
+        (catalog.q6, (1, 2), "q6 requires n >= 3 and 0 <= m <= n, got (1, 2)"),
+        (catalog.range2_grid, (4,), "range2_grid requires n >= 5, got 4"),
+        (catalog.crown_pair, (1,), "crown_pair requires n >= 2, got 1"),
+    ],
+)
+def test_family_parameters_must_be_natural(build, args, message):
+    """Non-natural parameters are rejected before the range checks, whose
+    messages stay as they were."""
+    with pytest.raises(BadParams) as caught:
+        build(*args)
+    assert str(caught.value) == message
 
 
 def test_q_kleene_split():

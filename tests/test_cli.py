@@ -201,6 +201,17 @@ def test_grow_past_the_limit_is_a_size_error(capsys):
     assert "SizeLimitExceeded: more than 1048576 subalgebra members" in err
 
 
+def test_congruences_past_the_limit_is_a_size_error(tmp_path, capsys):
+    """The 42-chain reversed by the involution has 2**20 + 1 congruence sets."""
+    names = [f"e{i}" for i in range(42)]
+    doc = {"elements": names, "leq": list(zip(names, names[1:])), "zeta": names[::-1]}
+    path = tmp_path / "chain42.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "congruences", str(path))
+    assert code == 2 and out == ""
+    assert "SizeLimitExceeded: more than 1048576 congruence sets" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("PMKIT_BUDGET", "1")
     code, _, err = run(capsys, "morphism", "q6:0,4", "q6:0,3")

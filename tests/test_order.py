@@ -1,14 +1,19 @@
 """Poset substrate: closures, extrema, metrics, components, downsets."""
 
+import random
+
 import pytest
 
-from pmkit import INFINITE, Distance, Poset, catalog
+from pmkit import INFINITE, Distance, Poset, catalog, dual_algebra
 from pmkit.errors import (
     AntisymmetryBroken,
+    BadParams,
     IndexOutOfRange,
     SizeLimitExceeded,
     TransitivityBroken,
 )
+from pmkit.order import closed_masks, iter_bits
+from pmkit.subalgebra import one_generator_growth
 
 
 def floyd_warshall(poset):
@@ -308,6 +313,51 @@ def test_downsets_of_a_long_chain():
     sets = Poset.chain(1100).downsets()
     assert len(sets) == 1101
     assert sets == [frozenset(range(k)) for k in range(1101)]
+
+
+def test_closed_masks_match_brute_force(random_pm_space):
+    """On down rows, least-member tables (with repeated rows) and congruence
+    generators, the listing is every mask holding the row of each of its
+    points, each once."""
+    rng = random.Random(20)
+    tables = []
+    for _ in range(40):
+        space = random_pm_space(rng)
+        tables.append([space.poset.down_mask(i) for i in range(space.n)])
+        algebra = dual_algebra(space)
+        tables.append([algebra._congruence_generator(i) for i in range(space.n)])
+        # least[i]: the meet of the top and every random mask holding i
+        n = rng.randint(1, 10)
+        least = [(1 << n) - 1] * n
+        for _ in range(rng.randint(0, 4)):
+            mask = rng.getrandbits(n)
+            for i in iter_bits(mask):
+                least[i] &= mask
+        tables.append(least)
+    assert any(len(set(rows)) < len(rows) for rows in tables)
+    for rows in tables:
+        found = closed_masks(rows, 1 << 10, "sets")
+        brute = [
+            y
+            for y in range(1 << len(rows))
+            if all(not rows[i] & ~y for i in iter_bits(y))
+        ]
+        assert sorted(found) == brute, rows
+
+
+@pytest.mark.parametrize("limit", ["x", -1, 1.5, True, None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda limit: Poset.antichain(3).downsets(limit=limit),
+        lambda limit: dual_algebra(catalog.q(2), limit=limit),
+        lambda limit: one_generator_growth(5, limit=limit),
+    ],
+    ids=["downsets", "dual_algebra", "growth"],
+)
+def test_limit_must_be_natural(call, limit):
+    with pytest.raises(BadParams, match="limit must be a natural number"):
+        call(limit)
 
 
 # -- Distance value type ----------------------------------------------------------
