@@ -23,9 +23,11 @@ from .errors import BadParams, ParseError
 from .order import Poset
 from .space import Space
 
-#: Most elements a document may list.  Closing the order takes time
-#: quadratic in the count (about 0.1 s at this cap, 2 s at 4,000), and a
-#: one-megabyte file can name about 100,000 elements.
+#: Most elements a document may list.  Closing and validating the order
+#: takes time at least quadratic in the count: at this cap a sparse document
+#: (512 two-element chains) parses in about 0.1 s and a chain in about
+#: 0.6 s, at 4,096 elements in 2.6 s and 16 s (Python 3.11, 2-vCPU Xeon).
+#: A one-megabyte file can name about 100,000 elements.
 MAX_ELEMENTS = 1024
 
 

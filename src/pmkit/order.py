@@ -138,6 +138,33 @@ class Distance:
 INFINITE = Distance(None)
 
 
+def is_index(x, n: int) -> bool:
+    """True when ``x`` is a non-bool int in ``range(n)``."""
+    return not isinstance(x, bool) and isinstance(x, int) and 0 <= x < n
+
+
+def check_index(x, n: int) -> None:
+    """Raise :class:`IndexOutOfRange` unless ``x`` is a non-bool int in
+    ``range(n)``; the one index test of every :class:`Poset` entry point."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise IndexOutOfRange(f"index {x!r} is not an int")
+    if not 0 <= x < n:
+        raise IndexOutOfRange(f"index {x} out of range for n={n}")
+
+
+def _raise_order_fault(up: Sequence[int], i: int) -> None:
+    """Raise the first antisymmetry or transitivity fault of row ``i``, in
+    the order of its bits."""
+    for j in iter_bits(up[i]):
+        if i != j and (up[j] >> i) & 1:
+            raise AntisymmetryBroken(f"{i} <= {j} and {j} <= {i}", witness=(i, j))
+        if up[j] & ~up[i]:
+            k = next(iter_bits(up[j] & ~up[i]))
+            raise TransitivityBroken(
+                f"{i} <= {j} <= {k} but not {i} <= {k}", witness=(i, j, k)
+            )
+
+
 class Poset:
     """An immutable finite partial order on indices ``0..n-1``.
 
@@ -147,38 +174,52 @@ class Poset:
     closure is taken, then antisymmetry is checked).
     """
 
-    __slots__ = ("n", "_up", "_down", "_nbr", "_all")
+    __slots__ = ("n", "_up", "_down", "_nbr", "_all", "_min", "_max", "_hash")
 
     def __init__(self, up_rows: Sequence[int]):
         n = len(up_rows)
         up = list(up_rows)
         all_mask = (1 << n) - 1
-        for i in range(n):
-            if up[i] & ~all_mask:
+        for i, row in enumerate(up):
+            if isinstance(row, bool) or not isinstance(row, int):
+                raise IndexOutOfRange(f"row {i} is not an int mask: {row!r}")
+            if row & ~all_mask:
                 raise IndexOutOfRange(f"row {i} mentions indices >= {n}")
-            if not (up[i] >> i) & 1:
+            if not (row >> i) & 1:
                 raise ReflexivityBroken(f"{i} not <= {i}", witness=(i, i))
-        for i in range(n):
-            for j in iter_bits(up[i]):
-                if i != j and (up[j] >> i) & 1:
-                    raise AntisymmetryBroken(
-                        f"{i} <= {j} and {j} <= {i}", witness=(i, j)
-                    )
-                if up[j] & ~up[i]:
-                    k = next(iter_bits(up[j] & ~up[i]))
-                    raise TransitivityBroken(
-                        f"{i} <= {j} <= {k} but not {i} <= {k}", witness=(i, j, k)
-                    )
-        down = [0] * n
-        for i in range(n):
-            for j in iter_bits(up[i]):
-                down[j] |= 1 << i
+        # One pass over the bits of every row builds the down rows and the
+        # union of the rows each row holds: the order is transitive exactly
+        # when that union is the row itself, and antisymmetric exactly when
+        # a row meets its down row in the point alone.
+        down, reach = [0] * n, [0] * n
+        for i, row in enumerate(up):
+            bit, rest, acc = 1 << i, row, 0
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                down[j] |= bit
+                acc |= up[j]
+                rest ^= low
+            reach[i] = acc
+        minimals = maximals = 0
+        for i, row in enumerate(up):
+            bit = 1 << i
+            if reach[i] != row or row & down[i] != bit:
+                _raise_order_fault(up, i)
+            if down[i] == bit:
+                minimals |= bit
+            if row == bit:
+                maximals |= bit
+        up = tuple(up)
         nbr = [(up[i] | down[i]) & ~(1 << i) for i in range(n)]
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_up", tuple(up))
+        object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_nbr", tuple(nbr))
         object.__setattr__(self, "_all", all_mask)
+        object.__setattr__(self, "_min", minimals)
+        object.__setattr__(self, "_max", maximals)
+        object.__setattr__(self, "_hash", hash(up))
 
     def __setattr__(self, name, val):
         raise AttributeError("Poset is immutable")
@@ -186,10 +227,11 @@ class Poset:
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
         """Build from order-generating pairs ``(a, b)`` meaning ``a <= b``."""
+        check_natural(n, "n")
         up = [1 << i for i in range(n)]
         for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise IndexOutOfRange(f"pair ({a}, {b}) out of range for n={n}")
+            if not (is_index(a, n) and is_index(b, n)):
+                raise IndexOutOfRange(f"pair ({a!r}, {b!r}) out of range for n={n}")
             up[a] |= 1 << b
         # Warshall closure on bit rows.
         for k in range(n):
@@ -201,10 +243,12 @@ class Poset:
 
     @classmethod
     def antichain(cls, n: int) -> "Poset":
+        check_natural(n, "n")
         return cls([1 << i for i in range(n)])
 
     @classmethod
     def chain(cls, n: int) -> "Poset":
+        check_natural(n, "n")
         return cls.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
 
     # -- raw mask access (used by the search modules) --------------------
@@ -222,8 +266,7 @@ class Poset:
     def mask_of(self, xs: Iterable[int]) -> int:
         mask = 0
         for x in xs:
-            if not 0 <= x < self.n:
-                raise IndexOutOfRange(f"index {x} out of range for n={self.n}")
+            check_index(x, self.n)
             mask |= 1 << x
         return mask
 
@@ -234,19 +277,19 @@ class Poset:
     # -- order queries ----------------------------------------------------
 
     def leq(self, x: int, y: int) -> bool:
-        self._check(x)
-        self._check(y)
+        n = self.n
+        # Plain ints in range skip the call; the validator raises on the rest
+        # (an int subclass other than bool passes it).
+        if not (type(x) is int and type(y) is int and 0 <= x < n and 0 <= y < n):
+            check_index(x, n)
+            check_index(y, n)
         return bool((self._up[x] >> y) & 1)
-
-    def _check(self, x: int) -> None:
-        if not 0 <= x < self.n:
-            raise IndexOutOfRange(f"index {x} out of range for n={self.n}")
 
     def down_closure(self, xs: Iterable[int]) -> frozenset[int]:
         """All elements below some member of ``xs``."""
         mask = 0
         for x in xs:
-            self._check(x)
+            check_index(x, self.n)
             mask |= self._down[x]
         return self.set_of(mask)
 
@@ -254,7 +297,7 @@ class Poset:
         """All elements above some member of ``xs``."""
         mask = 0
         for x in xs:
-            self._check(x)
+            check_index(x, self.n)
             mask |= self._up[x]
         return self.set_of(mask)
 
@@ -263,18 +306,10 @@ class Poset:
         return self.down_closure(xs) == xs
 
     def minimals_mask(self) -> int:
-        mask = 0
-        for i in range(self.n):
-            if self._down[i] == 1 << i:
-                mask |= 1 << i
-        return mask
+        return self._min
 
     def maximals_mask(self) -> int:
-        mask = 0
-        for i in range(self.n):
-            if self._up[i] == 1 << i:
-                mask |= 1 << i
-        return mask
+        return self._max
 
     def minimals(self) -> frozenset[int]:
         return self.set_of(self.minimals_mask())
@@ -284,8 +319,8 @@ class Poset:
 
     def min_below(self, x: int) -> frozenset[int]:
         """Minimal elements below ``x`` (the lower shadow of a point)."""
-        self._check(x)
-        return self.set_of(self._down[x] & self.minimals_mask())
+        check_index(x, self.n)
+        return self.set_of(self._down[x] & self._min)
 
     # -- comparability-graph metrics --------------------------------------
 
@@ -304,13 +339,13 @@ class Poset:
 
     def distance(self, x: int, y: int) -> Distance:
         """Shortest-path distance between ``x`` and ``y``; infinite across components."""
-        self._check(x)
-        self._check(y)
+        check_index(x, self.n)
+        check_index(y, self.n)
         return self.distance_levels((x,))[y]
 
     def distance_to_set(self, x: int, xs: Iterable[int]) -> Distance:
         """Least distance from ``x`` to a member of ``xs``; infinite for the empty set."""
-        self._check(x)
+        check_index(x, self.n)
         return self.distance_levels(xs)[x]
 
     def distance_levels(self, xs: Iterable[int]) -> list[Distance]:
@@ -335,7 +370,7 @@ class Poset:
 
     def ball(self, x: int, radius: int) -> frozenset[int]:
         """All elements at distance at most ``radius`` from ``x``."""
-        self._check(x)
+        check_index(x, self.n)
         check_natural(radius, "radius")
         return self.set_of(self._within(1 << x, radius))
 
@@ -390,7 +425,7 @@ class Poset:
         return isinstance(other, Poset) and self._up == other._up
 
     def __hash__(self):
-        return hash(self._up)
+        return self._hash
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={self.covers()})"

@@ -18,7 +18,7 @@ from .errors import (
     OrderReversalBroken,
     check_natural,
 )
-from .order import Distance, Poset, iter_bits
+from .order import Distance, Poset, check_index, is_index, iter_bits
 
 
 @dataclass(frozen=True)
@@ -33,26 +33,36 @@ class SpaceKind:
 class Space:
     """A finite poset with an involution ``zeta`` that reverses the order."""
 
-    __slots__ = ("poset", "zeta")
+    __slots__ = ("poset", "zeta", "_hash")
 
     def __init__(self, poset: Poset, zeta: Sequence[int]):
         zeta = tuple(zeta)
         n = poset.n
-        if len(zeta) != n or any(not 0 <= z < n for z in zeta):
+        if len(zeta) != n or not all(is_index(z, n) for z in zeta):
             raise IndexOutOfRange("zeta must be a permutation of 0..n-1")
         for x in range(n):
             if zeta[zeta[x]] != x:
                 raise InvolutionBroken(
                     f"zeta(zeta({x})) = {zeta[zeta[x]]} != {x}", witness=(x, zeta[x])
                 )
+        # zeta reverses the order when the image of each up row lies in the
+        # down row of the point's image.
+        images = [1 << z for z in zeta]
         for x in range(n):
-            for y in iter_bits(poset.up_mask(x)):
-                if not poset.up_mask(zeta[y]) >> zeta[x] & 1:
-                    raise OrderReversalBroken(
-                        f"{x} <= {y} but not zeta({y}) <= zeta({x})", witness=(x, y)
-                    )
+            rest, image = poset.up_mask(x), 0
+            while rest:
+                low = rest & -rest
+                image |= images[low.bit_length() - 1]
+                rest ^= low
+            if image & ~poset.down_mask(zeta[x]):
+                for y in iter_bits(poset.up_mask(x)):
+                    if not poset.up_mask(zeta[y]) >> zeta[x] & 1:
+                        raise OrderReversalBroken(
+                            f"{x} <= {y} but not zeta({y}) <= zeta({x})", witness=(x, y)
+                        )
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "_hash", hash((poset, zeta)))
 
     def __setattr__(self, name, val):
         raise AttributeError("Space is immutable")
@@ -69,7 +79,7 @@ class Space:
         )
 
     def __hash__(self):
-        return hash((self.poset, self.zeta))
+        return self._hash
 
     def __repr__(self):
         return f"Space(n={self.n}, covers={self.poset.covers()}, zeta={list(self.zeta)})"
@@ -80,8 +90,7 @@ class Space:
         """Pointwise image of a set under the involution."""
         out = set()
         for x in xs:
-            if not 0 <= x < self.n:
-                raise IndexOutOfRange(f"index {x} out of range for n={self.n}")
+            check_index(x, self.n)
             out.add(self.zeta[x])
         return frozenset(out)
 

@@ -62,6 +62,33 @@ def test_bad_index_rejected():
         Poset.from_pairs(2, [(0, 5)])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poset([1.0, 2]),
+        lambda: Poset([True]),
+        lambda: Poset.from_pairs(2, [(0.0, 1)]),
+        lambda: Poset.from_pairs(2, [(0, "1")]),
+        lambda: Poset.from_pairs(2, [(True, 1)]),
+    ],
+    ids=["float-row", "bool-row", "float-pair", "str-pair", "bool-pair"],
+)
+def test_construction_rejects_non_int_entries(build):
+    with pytest.raises(IndexOutOfRange):
+        build()
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0, "2"], ids=["negative", "bool", "float", "str"])
+@pytest.mark.parametrize(
+    "build",
+    [lambda n: Poset.from_pairs(n, []), Poset.antichain, Poset.chain],
+    ids=["from_pairs", "antichain", "chain"],
+)
+def test_size_must_be_natural(build, n):
+    with pytest.raises(BadParams, match="n must be a natural number"):
+        build(n)
+
+
 # -- closures ------------------------------------------------------------------
 
 
@@ -124,6 +151,43 @@ def test_chain_extrema():
     p = Poset.chain(2)
     assert p.minimals() == frozenset({0})
     assert p.maximals() == frozenset({1})
+
+
+# -- index validation --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: s.poset.leq("a", 0), "index 'a' is not an int"),
+        (lambda s: s.poset.leq(0, 1.0), "index 1.0 is not an int"),
+        (lambda s: s.poset.leq(True, 0), "index True is not an int"),
+        (lambda s: s.poset.leq(0, 2), "index 2 out of range for n=2"),
+        (lambda s: s.poset.leq(-1, 0), "index -1 out of range for n=2"),
+        (lambda s: s.poset.min_below("a"), "index 'a' is not an int"),
+        (lambda s: s.poset.min_below(False), "index False is not an int"),
+        (lambda s: s.poset.mask_of([1.0]), "index 1.0 is not an int"),
+        (lambda s: s.poset.down_closure([1.0]), "index 1.0 is not an int"),
+        (lambda s: s.poset.up_closure([None]), "index None is not an int"),
+        (lambda s: s.poset.distance("a", 0), "index 'a' is not an int"),
+        (lambda s: s.poset.distance_to_set(True, [0]), "index True is not an int"),
+        (lambda s: s.poset.distance_levels(["a"]), "index 'a' is not an int"),
+        (lambda s: s.poset.ball(True, 1), "index True is not an int"),
+        (lambda s: s.zeta_image(["a"]), "index 'a' is not an int"),
+        (lambda s: s.zeta_image([True]), "index True is not an int"),
+        (lambda s: s.zeta_image([2]), "index 2 out of range for n=2"),
+    ],
+    ids=[
+        "leq-str", "leq-float", "leq-bool", "leq-high", "leq-negative",
+        "min_below-str", "min_below-bool", "mask_of", "down_closure", "up_closure",
+        "distance", "distance_to_set", "distance_levels", "ball",
+        "zeta_image-str", "zeta_image-bool", "zeta_image-high",
+    ],
+)
+def test_index_entry_points_raise_typed_errors(call, message):
+    with pytest.raises(IndexOutOfRange) as err:
+        call(catalog.q(2))
+    assert str(err.value) == message
 
 
 # -- distances -------------------------------------------------------------------

@@ -5,7 +5,13 @@ import random
 import pytest
 
 from pmkit import Distance, Poset, Space, catalog, dual_algebra
-from pmkit.errors import BadParams, InvolutionBroken, NotRegular, OrderReversalBroken
+from pmkit.errors import (
+    BadParams,
+    IndexOutOfRange,
+    InvolutionBroken,
+    NotRegular,
+    OrderReversalBroken,
+)
 
 
 # -- validation ------------------------------------------------------------------
@@ -22,6 +28,15 @@ def test_order_reversal_rejected():
     with pytest.raises(OrderReversalBroken) as err:
         Space(Poset.chain(2), (0, 1))
     assert err.value.witness == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "zeta", [(True, False), (1.0, 0), ("1", 0), (1, None), (1,), (1, 2)],
+    ids=["bool", "float", "str", "none", "short", "high"],
+)
+def test_zeta_entries_must_be_indices(zeta):
+    with pytest.raises(IndexOutOfRange, match="zeta must be a permutation"):
+        Space(Poset.antichain(2), zeta)
 
 
 def test_validate_q2():
