@@ -80,20 +80,21 @@ def criterion_distance_formula(budget: int = DEFAULT_BUDGET):
 
 def criterion_range_equals_width(budget: int = DEFAULT_BUDGET):
     """The algebra's range equals the space's zeta-width on regular spaces."""
-    for name, space in regular_catalog_spaces():
+    spaces = regular_catalog_spaces()
+    for name, space in spaces:
         algebra = dual_algebra(space)
         if algebra.range_of() != space.zeta_width():
             return False, f"{name}: range {algebra.range_of()} != width {space.zeta_width()}"
-    return True, f"{len(regular_catalog_spaces())} spaces"
+    return True, f"{len(spaces)} spaces"
 
 
 def criterion_simplicity(budget: int = DEFAULT_BUDGET):
     """Exactly two congruence sets iff the space passes the simplicity test."""
-    for name, space in regular_catalog_spaces():
-        algebra = dual_algebra(space)
-        if (len(algebra.congruence_sets()) == 2) != space.is_simple():
+    spaces = regular_catalog_spaces()
+    for name, space in spaces:
+        if (len(space.congruence_sets()) == 2) != space.is_simple():
             return False, name
-    return True, f"{len(regular_catalog_spaces())} spaces"
+    return True, f"{len(spaces)} spaces"
 
 
 EXPECTED_FOURTEEN = {
@@ -224,17 +225,19 @@ def criterion_kf_closure(budget: int = DEFAULT_BUDGET):
 
 def criterion_duality_round_trip(budget: int = DEFAULT_BUDGET):
     """Rebuilding the space from its downset algebra gives back the space."""
-    for name, space in catalog_spaces():
+    spaces = catalog_spaces()
+    for name, space in spaces:
         algebra = dual_algebra(space)
         if not is_pm_isomorphic(algebra.reconstruct_space(), space, budget):
             return False, name
-    return True, f"{len(catalog_spaces())} spaces"
+    return True, f"{len(spaces)} spaces"
 
 
 def criterion_regularity_quadruple(budget: int = DEFAULT_BUDGET):
     """The defining inequality, both congruence-triviality tests and the
     height bound agree on every catalog space."""
-    for name, space in catalog_spaces():
+    spaces = catalog_spaces()
+    for name, space in spaces:
         algebra = dual_algebra(space)
         flags = {
             algebra.is_regular(),
@@ -244,7 +247,7 @@ def criterion_regularity_quadruple(budget: int = DEFAULT_BUDGET):
         }
         if len(flags) != 1:
             return False, name
-    return True, f"{len(catalog_spaces())} spaces (non-regular control included)"
+    return True, f"{len(spaces)} spaces (non-regular control included)"
 
 
 def criterion_q6_criteria_equivalence(budget: int = DEFAULT_BUDGET):

@@ -81,11 +81,11 @@ def cmd_validate(args) -> int:
 def cmd_kind(args) -> int:
     named = resolve_space(args.space)
     kind = named.space.kind()
+    range_of = dual_algebra(named.space).range_of()
     print(f"regular: {str(kind.regular).lower()}")
     print(f"kleene: {str(kind.kleene).lower()}")
     print(f"width: {kind.zeta_width}")
-    algebra = dual_algebra(named.space)
-    print(f"range: {algebra.range_of()}")
+    print(f"range: {range_of}")
     return OK
 
 
@@ -124,8 +124,7 @@ def cmd_dual(args) -> int:
 
 def cmd_congruences(args) -> int:
     named = resolve_space(args.space)
-    algebra = dual_algebra(named.space)
-    sets = algebra.congruence_sets()
+    sets = named.space.congruence_sets()
     print(f"count: {len(sets)}")
     for xs in sets:
         print("congruence set: {" + ", ".join(named.set_names(xs)) + "}")

@@ -374,18 +374,18 @@ class Poset:
         check_natural(radius, "radius")
         return self.set_of(self._within(1 << x, radius))
 
+    def _component_masks(self) -> Iterator[int]:
+        """Masks of the comparability components, by least element."""
+        remaining = self._all
+        while remaining:
+            # no distance within a component reaches n
+            mask = self._within(remaining & -remaining, self.n)
+            yield mask
+            remaining &= ~mask
+
     def order_components(self) -> tuple[frozenset[int], ...]:
         """Connected components of the comparability graph, by least element."""
-        remaining = self._all
-        blocks = []
-        while remaining:
-            start = remaining & -remaining
-            mask = 0
-            for _, frontier in self._frontiers(start):
-                mask |= frontier
-            blocks.append(self.set_of(mask))
-            remaining &= ~mask
-        return tuple(sorted(blocks, key=min))
+        return tuple(map(self.set_of, self._component_masks()))
 
     def height(self) -> int:
         """Length, in edges, of a longest chain."""

@@ -18,7 +18,8 @@ from .errors import (
     OrderReversalBroken,
     check_natural,
 )
-from .order import Distance, Poset, check_index, is_index, iter_bits
+from .order import DOWNSET_LIMIT, Distance, Poset, canonical_sort, closed_masks
+from .order import is_index, iter_bits
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class SpaceKind:
 class Space:
     """A finite poset with an involution ``zeta`` that reverses the order."""
 
-    __slots__ = ("poset", "zeta", "_hash")
+    __slots__ = ("poset", "zeta", "_zeta_bits", "_hash")
 
     def __init__(self, poset: Poset, zeta: Sequence[int]):
         zeta = tuple(zeta)
@@ -47,12 +48,12 @@ class Space:
                 )
         # zeta reverses the order when the image of each up row lies in the
         # down row of the point's image.
-        images = [1 << z for z in zeta]
+        zeta_bits = tuple([1 << z for z in zeta])
         for x in range(n):
             rest, image = poset.up_mask(x), 0
             while rest:
                 low = rest & -rest
-                image |= images[low.bit_length() - 1]
+                image |= zeta_bits[low.bit_length() - 1]
                 rest ^= low
             if image & ~poset.down_mask(zeta[x]):
                 for y in iter_bits(poset.up_mask(x)):
@@ -62,6 +63,7 @@ class Space:
                         )
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "_zeta_bits", zeta_bits)
         object.__setattr__(self, "_hash", hash((poset, zeta)))
 
     def __setattr__(self, name, val):
@@ -88,11 +90,20 @@ class Space:
 
     def zeta_image(self, xs: Iterable[int]) -> frozenset[int]:
         """Pointwise image of a set under the involution."""
-        out = set()
-        for x in xs:
-            check_index(x, self.n)
-            out.add(self.zeta[x])
-        return frozenset(out)
+        prime = self.star_prime(self.poset.mask_of(xs))[1]
+        return Poset.set_of(self.poset.all_mask & ~prime)
+
+    def star_prime(self, mask: int) -> tuple[int, int]:
+        """Star and prime of the point set ``mask`` in one pass: the
+        complements of its up-closure and of its involution image.  They need
+        no downsets, so simplicity, the congruence sets and subalgebra
+        closure are answered on the space alone."""
+        up, zeta_bits, top = self.poset._up, self._zeta_bits, self.poset._all
+        covered = image = 0
+        for i in iter_bits(mask):
+            covered |= up[i]
+            image |= zeta_bits[i]
+        return top & ~covered, top & ~image
 
     # -- classification ----------------------------------------------------
 
@@ -141,10 +152,10 @@ class Space:
         """
         if not self.is_regular():
             raise NotRegular("simplicity test requires height <= 1")
-        everything = frozenset(range(self.n))
-        for block in self.poset.order_components():
-            if block | self.zeta_image(block) == everything:
-                return block
+        for block in self.poset._component_masks():
+            # the prime of Q is the complement of zeta(Q)
+            if not self.star_prime(block)[1] & ~block:
+                return Poset.set_of(block)
         return None
 
     def is_simple(self) -> bool:
@@ -160,3 +171,27 @@ class Space:
         # every point lies within ``bound`` of {x, zeta x}; see zeta_width
         p, starts = self.poset, (1 << x | 1 << z for x, z in enumerate(self.zeta))
         return all(p._within(start, bound) == p.all_mask for start in starts)
+
+    # -- congruences ----------------------------------------------------------
+
+    def _congruence_generator(self, x: int) -> int:
+        """Least involution-closed set containing x whose minimal part is up-closed."""
+        minimals, top = self.poset.minimals_mask(), self.poset.all_mask
+        current, grown = 0, 1 << x
+        while grown != current:
+            current = grown
+            # involution image and up-closure: the complements of prime and star
+            grown = current | top & ~self.star_prime(current)[1]
+            grown |= top & ~self.star_prime(grown & minimals)[0]
+        return current
+
+    def congruence_sets(self) -> tuple[frozenset[int], ...]:
+        """All sets that are involution-closed and up-closed on their minimal part.
+
+        They correspond one-to-one with the congruences of the dual algebra.
+        The family is closed under union and intersection, so
+        :func:`~pmkit.order.closed_masks` lists it from the per-point generated
+        sets, raising :class:`SizeLimitExceeded` past ``DOWNSET_LIMIT`` sets."""
+        gens = [self._congruence_generator(x) for x in range(self.n)]
+        found = closed_masks(gens, DOWNSET_LIMIT, "congruence sets")
+        return tuple(map(Poset.set_of, canonical_sort(found, self.n)))

@@ -1,7 +1,7 @@
 """Subalgebra generation by closure, and finiteness/growth experiments.
 
 The closure works on element masks, with the space's own star and prime
-(:class:`~pmkit.algebra.SpaceOps`), through the least generated member
+(:meth:`~pmkit.space.Space.star_prime`), through the least generated member
 containing each point.  Those least members fix the generated
 {0,1}-sublattice (its members are exactly their unions), so closing under
 the two unary operations only needs each distinct least member checked
@@ -19,9 +19,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import catalog
-from .algebra import Algebra, SpaceOps, dual_algebra
+from .algebra import Algebra, dual_algebra
 from .errors import BadParams, Overflow, check_natural
 from .order import DOWNSET_LIMIT, Poset, canonical_sort, closed_masks, iter_bits
+from .space import Space
 
 
 class ClosureResult:
@@ -78,18 +79,18 @@ class ClosureResult:
         )
 
 
-def _close(ops: SpaceOps, gens: Iterable[int], limit: int) -> tuple[list[int], int]:
+def _close(space: Space, gens: Iterable[int], limit: int) -> tuple[list[int], int]:
     """Masks of the members of the subalgebra generated by the downset
     masks ``gens``, and the op applications spent on them.  Raises
     :class:`SizeLimitExceeded` once more than ``limit`` members are listed."""
-    top = ops.space.poset.all_mask
+    top = space.poset.all_mask
     # least[i] is the least generated member containing point i: the meet of
     # the top and every generator containing i (Birkhoff).  The generated
     # {0,1}-sublattice is exactly the set of unions of these blocks (0 is the
     # empty union, the top the union of all):
     # k in least[i] gives least[k] <= least[i], so meets of unions are again
     # unions, and a mask y is a member iff least[i] <= y for every i in y.
-    least = [top] * ops.space.n
+    least = [top] * space.n
     checked: set[int] = set()
     count = 0
 
@@ -107,7 +108,7 @@ def _close(ops: SpaceOps, gens: Iterable[int], limit: int) -> tuple[list[int], i
         for block in fresh:
             checked.add(block)
             count += 2
-            for y in ops.images(block):
+            for y in space.star_prime(block):
                 if any(least[i] & ~y for i in iter_bits(y)):
                     refine(y)
     # one join per member listed, past the empty union
@@ -120,7 +121,7 @@ def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> Clos
     closed under meet, join, pseudocomplement and the de Morgan operation."""
     gens = [algebra.mask_of(g) for g in gens]
     # a subset of the algebra cannot outgrow it, so the limit never binds
-    members, count = _close(algebra, gens, len(algebra))
+    members, count = _close(algebra.space, gens, len(algebra))
     return ClosureResult(set(members), len(gens), count)
 
 
@@ -137,7 +138,7 @@ def one_generator_growth(n: int, limit: int = DOWNSET_LIMIT) -> int:
     the dual algebra of the width-2 grid; always at least ``n``.  Raises
     :class:`SizeLimitExceeded` when it has more than ``limit`` members."""
     # point 0 is minimal, so its singleton (mask 1) is a downset
-    members, _ = _close(SpaceOps(catalog.range2_grid(n)), [1], limit)
+    members, _ = _close(catalog.range2_grid(n), [1], limit)
     return len(members)
 
 
@@ -176,6 +177,6 @@ def crown_bound_check(n: int, generators: int) -> bool:
     space = catalog.crown_pair(n)
     ceiling = crown_bound_ceiling(generators)
     if generators == 0:
-        return len(_close(SpaceOps(space), [], DOWNSET_LIMIT)[0]) <= ceiling
+        return len(_close(space, [], DOWNSET_LIMIT)[0]) <= ceiling
     # Every one-generator closure is a subset of the algebra.
     return len(dual_algebra(space)) <= ceiling

@@ -167,6 +167,7 @@ def test_mask_algebra_matches_frozenset_reference(random_pm_space):
         assert algebra.moisil_trivial() == ref.moisil_trivial(), space
         assert algebra.determination_trivial() == ref.determination_trivial(), space
         assert algebra.congruence_sets() == ref.congruence_sets(), space
+        assert space.congruence_sets() == ref.congruence_sets(), space
         for x in range(space.n):
             assert algebra.point_ideal(x) == ref.point_ideal(x)
         assert algebra.reconstruct_space() == ref.reconstruct_space(), space

@@ -212,6 +212,22 @@ def test_congruences_past_the_limit_is_a_size_error(tmp_path, capsys):
     assert "SizeLimitExceeded: more than 1048576 congruence sets" in err
 
 
+def test_congruences_list_no_downsets(capsys):
+    """q6:0,21 has 2**21 + 1 downsets, past the limit, but 42 points and two
+    congruence sets: the sets are read off the space alone."""
+    code, out, err = run(capsys, "congruences", "q6:0,21")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "count: 2"
+
+
+def test_kind_prints_nothing_when_it_fails(capsys):
+    """The range of q6:0,21 needs its 2**21 + 1 downsets; the report fails
+    whole, with no partial lines before the error."""
+    code, out, err = run(capsys, "kind", "q6:0,21")
+    assert code == 2 and out == ""
+    assert "SizeLimitExceeded: more than 1048576 downsets" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("PMKIT_BUDGET", "1")
     code, _, err = run(capsys, "morphism", "q6:0,4", "q6:0,3")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from pmkit import acceptance, algebra as algebra_module, catalog, dual_algebra, order
-from pmkit import subalgebra
+from pmkit import space as space_module, subalgebra
 from pmkit.errors import BadParams, NotAnElement, Overflow, SizeLimitExceeded
 from pmkit.subalgebra import (
     ClosureResult,
@@ -132,7 +132,7 @@ def _forbid_listing(monkeypatch):
         raise AssertionError("members were listed as frozensets")
 
     monkeypatch.setattr(order.Poset, "set_of", staticmethod(listing))
-    for module in (order, algebra_module, subalgebra):
+    for module in (order, space_module, subalgebra):
         monkeypatch.setattr(module, "canonical_sort", listing)
 
 
