@@ -14,21 +14,11 @@ frozensets of points.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable
 
 from .errors import NotAnElement, NotRegular, check_natural
 from .order import DOWNSET_LIMIT, Poset
 from .space import Space
-
-
-def _columns(masks: list[int], n: int) -> list[int]:
-    """Transpose of a bit matrix: for each point ``x < n``, the mask of the
-    positions ``i`` with bit ``x`` set in ``masks[i]``."""
-    # n binary digits per mask, highest first: bit x of masks[i] is character
-    # i * n + n - 1 - x, and int() reads the last character as the lowest bit
-    rows = "".join(map(format, masks, repeat(f"0{n}b")))
-    return [int(rows[n - 1 - x :: n][::-1], 2) for x in range(n)]
 
 
 class Algebra:
@@ -189,15 +179,18 @@ class Algebra:
         ideals ordered by inclusion, with the involution read off through the
         de Morgan operation.  The result is pm-isomorphic to the source space.
         """
-        n, masks = self.space.n, list(self._index)
-        everything = (1 << len(masks)) - 1
-        # ideals[x]: the positions of the elements avoiding x
-        ideals = [everything & ~held for held in _columns(masks, n)]
+        n, masks = self.space.n, list(self._index)[::-1]
+        # ideals[x]: the positions of the elements avoiding x, read as binary
+        # digits from the last element down to the first
+        ideals = [int("".join(["0" if m >> x & 1 else "1" for m in masks]), 2) for x in range(n)]
         up = [sum(1 << j for j in range(n) if not ideal & ~ideals[j]) for ideal in ideals]
         lookup = {ideal: x for x, ideal in enumerate(ideals)}
         primes = [self.space.star_prime(m)[1] for m in masks]
         # the ideal of zeta(x): the elements avoiding zeta(x), whose primes hold x
-        zeta = [lookup[held] for held in _columns(primes, n)]
+        zeta = [
+            lookup[int("".join(["1" if p >> x & 1 else "0" for p in primes]), 2)]
+            for x in range(n)
+        ]
         return Space(Poset(up), zeta)
 
 

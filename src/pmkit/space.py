@@ -19,7 +19,7 @@ from .errors import (
     check_natural,
 )
 from .order import DOWNSET_LIMIT, Distance, Poset, canonical_sort, closed_masks
-from .order import is_index, iter_bits
+from .order import check_index, is_index, iter_bits
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,11 @@ class Space:
 
     def zeta_image(self, xs: Iterable[int]) -> frozenset[int]:
         """Pointwise image of a set under the involution."""
-        prime = self.star_prime(self.poset.mask_of(xs))[1]
-        return Poset.set_of(self.poset.all_mask & ~prime)
+        out = set()
+        for x in xs:
+            check_index(x, self.n)
+            out.add(self.zeta[x])
+        return frozenset(out)
 
     def star_prime(self, mask: int) -> tuple[int, int]:
         """Star and prime of the point set ``mask`` in one pass: the
