@@ -34,8 +34,8 @@ from .subalgebra import generate_subalgebra, is_closed_family, local_finiteness_
 from .variety import SimpleRef, l6_member, l6_member_oracle, subvariety_lattice
 
 
-def catalog_spaces(max_size: int = 12) -> list[tuple[str, Space]]:
-    """The named spaces every sweep runs over, capped by element count."""
+def catalog_spaces() -> list[tuple[str, Space]]:
+    """The named spaces every sweep runs over, each of at most 12 elements."""
     out: list[tuple[str, Space]] = [(f"q{i}", catalog.q(i)) for i in range(6)]
     for n in range(3, 7):
         for m in range(n + 1):
@@ -45,11 +45,11 @@ def catalog_spaces(max_size: int = 12) -> list[tuple[str, Space]]:
     out.append(("crown:2", catalog.crown_pair(2)))
     out.append(("crown:3", catalog.crown_pair(3)))
     out.append(("chain3", catalog.nonregular_chain3()))
-    return [(name, s) for name, s in out if s.n <= max_size]
+    return out
 
 
-def regular_catalog_spaces(max_size: int = 12) -> list[tuple[str, Space]]:
-    return [(n, s) for n, s in catalog_spaces(max_size) if s.is_regular()]
+def regular_catalog_spaces() -> list[tuple[str, Space]]:
+    return [(n, s) for n, s in catalog_spaces() if s.is_regular()]
 
 
 def criterion_membership_formula(budget: int = DEFAULT_BUDGET):

@@ -62,8 +62,7 @@ def resolve_space(token: str) -> NamedSpace:
 
 
 def _simple_ref(token: str) -> SimpleRef:
-    named = resolve_space(token)
-    return SimpleRef(token, named.space)
+    return SimpleRef.custom(token, resolve_space(token).space)
 
 
 def cmd_validate(args) -> int:

@@ -124,8 +124,10 @@ class Space:
         )
 
     def zeta_distance(self, x: int, y: int) -> Distance:
-        """min of the distances from ``x`` to ``y`` and to ``zeta(y)``."""
-        return min(self.poset.distance(x, y), self.poset.distance(x, self.zeta[y]))
+        """min of the distances from ``x`` to ``y`` and to ``zeta(y)``, in one sweep."""
+        check_index(x, self.n)
+        check_index(y, self.n)
+        return self.poset.distance_to_set(x, (y, self.zeta[y]))
 
     def zeta_width(self) -> int:
         """The largest finite zeta-distance between two points (0 if none).

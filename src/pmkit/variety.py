@@ -8,7 +8,8 @@ strictly separate from the search so the two can be played against each
 other as oracles.
 
 Sub variety lattices of finitely many simple generators are materialised as
-the downset lattice of the embeddability order on the generators.
+the downset lattice of the embeddability order on the generators, built
+from mask rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 from . import catalog
 from .errors import BadLabel, NotRegular
 from .morphism import DEFAULT_BUDGET, search_surjective
-from .order import Poset
+from .order import Poset, iter_bits
 from .space import Space
 
 
@@ -106,12 +107,11 @@ class VarietyLattice:
 
     def decomposition(self, downset: frozenset[int]) -> frozenset[str]:
         """Labels of the maximal classes of a downset: its join decomposition."""
-        maximal = {
-            c
-            for c in downset
-            if not any(d != c and self.order.leq(c, d) for d in downset)
-        }
-        return frozenset(self.classes[c][0] for c in maximal)
+        mask = self.order.mask_of(downset)
+        below = 0
+        for c in iter_bits(mask):
+            below |= self.order.down_mask(c) & ~(1 << c)
+        return frozenset(self.classes[c][0] for c in iter_bits(mask & ~below))
 
     def decompositions(self) -> set[frozenset[str]]:
         return {self.decomposition(d) for d in self.downsets if d}
@@ -123,16 +123,14 @@ class VarietyLattice:
 
     def covers(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """Covering pairs of the downset lattice (they differ by one class)."""
-        out = []
-        pool = set(self.downsets)
-        for d in self.downsets:
-            for extra in range(len(self.classes)):
-                if extra in d:
-                    continue
-                bigger = d | {extra}
-                if bigger in pool:
-                    out.append((d, frozenset(bigger)))
-        return out
+        masks = [self.order.mask_of(d) for d in self.downsets]
+        pool = set(masks)
+        return [
+            (d, Poset.set_of(mask | 1 << c))
+            for d, mask in zip(self.downsets, masks)
+            for c in range(len(self.classes))
+            if not mask >> c & 1 and mask | 1 << c in pool
+        ]
 
     def is_chain(self) -> bool:
         return all(a <= b for a, b in zip(self.downsets, self.downsets[1:]))
@@ -153,39 +151,39 @@ class VarietyLattice:
 def subvariety_lattice(
     generators: Sequence[SimpleRef], budget: int = DEFAULT_BUDGET
 ) -> VarietyLattice:
-    """Compute the lattice of subvarieties generated by the given simples."""
+    """Compute the lattice of subvarieties generated by the given simples.
+
+    Raises an order fault such as :class:`TransitivityBroken` if the searched
+    embeddings do not form a preorder, rather than closing them silently."""
     gens = tuple(generators)
     k = len(gens)
-    embeds = [[False] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                embeds[i][j] = True
-            else:
-                # class i below class j: i's space is an image of j's.
-                embeds[i][j] = search_surjective(
-                    gens[j].space, gens[i].space, budget
-                ).found
+    # above[i]: the generators whose spaces map onto generator i's space.
+    above = [
+        sum(
+            1 << j
+            for j in range(k)
+            if i == j or search_surjective(gens[j].space, gens[i].space, budget).found
+        )
+        for i in range(k)
+    ]
     classes: list[tuple[str, ...]] = []
     class_of = [-1] * k
     for i in range(k):
         if class_of[i] >= 0:
             continue
-        block = [j for j in range(k) if embeds[i][j] and embeds[j][i]]
+        block = [j for j in iter_bits(above[i]) if above[j] >> i & 1]
         for j in block:
             class_of[j] = len(classes)
         classes.append(tuple(gens[j].label for j in block))
-    pairs = {
-        (class_of[i], class_of[j])
-        for i in range(k)
-        for j in range(k)
-        if embeds[i][j]
-    }
-    order = Poset.from_pairs(len(classes), pairs)
+    up = [0] * len(classes)
+    for i in range(k):
+        for j in iter_bits(above[i]):
+            up[class_of[i]] |= 1 << class_of[j]
+    order = Poset(up)
     return VarietyLattice(gens, tuple(classes), order, tuple(order.downsets()))
 
 
-def distinct_varieties(labels: Iterable[tuple[int, int]], use_oracle: bool = False) -> bool:
+def distinct_varieties(labels: Iterable[tuple[int, int]]) -> bool:
     """For diagonal labels ``(n, n)``: do distinct subsets always generate
     distinct varieties?  Reduces to mutual non-embeddability of distinct
     diagonal members."""
@@ -194,8 +192,7 @@ def distinct_varieties(labels: Iterable[tuple[int, int]], use_oracle: bool = Fal
         if n != n2:
             raise BadLabel(f"diagonal labels only, got ({n}, {n2})")
         _check_label(n, n)
-    member = l6_member_oracle if use_oracle else l6_member
     for (n, _), (m, _) in ((a, b) for a in labels for b in labels):
-        if member(n, n, m, m) != (n == m):
+        if l6_member(n, n, m, m) != (n == m):
             return False
     return True

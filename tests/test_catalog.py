@@ -288,6 +288,7 @@ def test_every_catalog_space_validates(catalog_spaces):
     for name, space in catalog_spaces:
         kind = space.kind()
         assert isinstance(kind.zeta_width, int), name
+        assert space.n <= 12, name
 
 
 # -- pair-list references --------------------------------------------------------

@@ -162,6 +162,17 @@ def test_lattice_reports_fourteen(capsys):
     assert "digraph" in out
 
 
+def test_lattice_rejects_generators_that_are_not_simple(tmp_path, capsys):
+    # two fixed points side by side: regular, but no component covers both
+    doc = {"elements": ["a", "b"], "leq": [], "zeta": [["a", "a"], ["b", "b"]]}
+    path = tmp_path / "two_points.json"
+    path.write_text(json.dumps(doc))
+    for token, message in (("chain3", "height <= 1"), (str(path), "is not simple")):
+        code, out, err = run(capsys, "lattice", token, "q1")
+        assert code == 2 and out == ""
+        assert "NotRegular" in err and message in err, token
+
+
 def test_subalg(capsys):
     code, out, _ = run(capsys, "subalg", "grid:5", "--gens", "x0")
     assert code == 0

@@ -251,6 +251,10 @@ def ref_range_term(space, xs, k):
     return frozenset(x for x, d in enumerate(levels) if d > k)
 
 
+def ref_zeta_distance(space, x, y):
+    return min(space.poset.distance(x, y), space.poset.distance(x, space.zeta[y]))
+
+
 def ref_is_regular(space):
     return space.poset.height() <= 1
 
@@ -296,3 +300,21 @@ def test_mask_questions_match_distance_references(random_pm_space):
             for k in range(5):
                 want = ref_range_term(space, xs, k)
                 assert algebra.range_term_via_distance(xs, k) == want, (space, xs, k)
+
+
+def test_zeta_distance_matches_two_sweep_reference(random_pm_space):
+    """One sweep from ``{y, zeta y}`` gives the min of the two distances, and
+    bad indices raise the same messages, ``x`` checked first."""
+    rng = random.Random(909)
+    for _ in range(150):
+        space = random_pm_space(rng)
+        for x in range(space.n):
+            for y in range(space.n):
+                assert space.zeta_distance(x, y) == ref_zeta_distance(space, x, y), space
+        n = space.n
+        for x, y in ((n, 0), (0, n), (-1, n), (n, -1), (True, 0), (0, False), (0, "a")):
+            with pytest.raises(IndexOutOfRange) as want:
+                ref_zeta_distance(space, x, y)
+            with pytest.raises(IndexOutOfRange) as got:
+                space.zeta_distance(x, y)
+            assert str(got.value) == str(want.value), (x, y)

@@ -1,9 +1,15 @@
 """Membership predicate, its search oracle, and subvariety lattices."""
 
+import functools
+import random
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import pytest
 
-from pmkit import catalog
-from pmkit.errors import BadLabel, NotRegular
+from pmkit import Poset, catalog, variety
+from pmkit.errors import BadLabel, NotRegular, TransitivityBroken
+from pmkit.morphism import DEFAULT_BUDGET
 from pmkit.variety import (
     SimpleRef,
     distinct_varieties,
@@ -202,13 +208,137 @@ def test_embeddability_is_transitive_on_catalog():
                     assert rel[i][l], (i, j, l)
 
 
+# -- the frozenset reference ------------------------------------------------------
+#
+# The lattice as it reads through generating pairs closed by ``Poset.from_pairs``,
+# ``Poset.leq`` scans and a pool of frozenset downsets; the library works on
+# the class up rows and masks.  The reference searches through
+# ``variety.search_surjective``, so one patch feeds both.
+
+
+@dataclass(frozen=True)
+class RefLattice:
+    generators: tuple
+    classes: tuple
+    order: Poset
+    downsets: tuple
+
+    def decomposition(self, downset):
+        maximal = {
+            c
+            for c in downset
+            if not any(d != c and self.order.leq(c, d) for d in downset)
+        }
+        return frozenset(self.classes[c][0] for c in maximal)
+
+    def node_label(self, downset):
+        if not downset:
+            return "T"
+        return "+".join(sorted(self.decomposition(downset)))
+
+    def covers(self):
+        out = []
+        pool = set(self.downsets)
+        for d in self.downsets:
+            for extra in range(len(self.classes)):
+                if extra in d:
+                    continue
+                bigger = d | {extra}
+                if bigger in pool:
+                    out.append((d, frozenset(bigger)))
+        return out
+
+    def is_chain(self):
+        return all(a <= b for a, b in zip(self.downsets, self.downsets[1:]))
+
+    def to_dot(self):
+        lines = ["digraph subvarieties {", "  rankdir=BT;"]
+        for d in self.downsets:
+            lines.append(f'  "{self.node_label(d)}";')
+        for low, high in self.covers():
+            lines.append(f'  "{self.node_label(low)}" -> "{self.node_label(high)}";')
+        lines.append("}")
+        return "\n".join(lines)
+
+
+def ref_subvariety_lattice(generators, budget=DEFAULT_BUDGET):
+    gens = tuple(generators)
+    k = len(gens)
+    embeds = [[False] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                embeds[i][j] = True
+            else:
+                embeds[i][j] = variety.search_surjective(
+                    gens[j].space, gens[i].space, budget
+                ).found
+    classes = []
+    class_of = [-1] * k
+    for i in range(k):
+        if class_of[i] >= 0:
+            continue
+        block = [j for j in range(k) if embeds[i][j] and embeds[j][i]]
+        for j in block:
+            class_of[j] = len(classes)
+        classes.append(tuple(gens[j].label for j in block))
+    pairs = {(class_of[i], class_of[j]) for i in range(k) for j in range(k) if embeds[i][j]}
+    order = Poset.from_pairs(len(classes), pairs)
+    return RefLattice(gens, tuple(classes), order, tuple(order.downsets()))
+
+
+def test_lattice_matches_frozenset_reference(monkeypatch):
+    """Classes, order rows, downsets, decompositions, covers, the chain test
+    and the DOT text agree with the reference on seeded generator subsets."""
+    monkeypatch.setattr(
+        variety, "search_surjective", functools.lru_cache(None)(variety.search_surjective)
+    )
+    pool = [SimpleRef.builtin(i) for i in range(6)]
+    pool += [SimpleRef.l6(m, n) for n in (3, 4, 5) for m in range(n + 1)]
+    pool += [SimpleRef.custom(f"crown{n}", catalog.crown_pair(n)) for n in (2, 3)]
+    rng = random.Random(1313)
+    subsets = [rng.sample(pool, rng.randint(1, 6)) for _ in range(40)]
+    merged = chains = 0
+    for gens in subsets:
+        if rng.random() < 0.3:
+            # a second name for one space shares its class
+            gens.insert(rng.randint(0, len(gens)), SimpleRef("copy", rng.choice(gens).space))
+        got, want = subvariety_lattice(gens), ref_subvariety_lattice(gens)
+        assert got.classes == want.classes
+        assert got.order == want.order
+        assert got.downsets == want.downsets
+        for d in got.downsets:
+            assert got.decomposition(d) == want.decomposition(d)
+        assert got.covers() == want.covers()
+        assert got.is_chain() == want.is_chain()
+        assert got.to_dot() == want.to_dot()
+        merged += any(len(c) > 1 for c in got.classes)
+        chains += got.is_chain()
+    assert merged >= 3 and 5 <= chains < len(subsets)
+
+
+def test_lattice_rejects_a_non_transitive_search(monkeypatch):
+    """L0 below L1 below L2 but not L0 below L2: the reference closes the
+    relation into a chain, the lattice raises instead."""
+    gens = [SimpleRef.builtin(i) for i in range(3)]
+    index = {g.space: i for i, g in enumerate(gens)}
+
+    def search(source, target, budget):
+        return SimpleNamespace(found=(index[target], index[source]) in {(0, 1), (1, 2)})
+
+    monkeypatch.setattr(variety, "search_surjective", search)
+    assert ref_subvariety_lattice(gens).is_chain()
+    with pytest.raises(TransitivityBroken):
+        subvariety_lattice(gens)
+
+
 # -- diagonal rigidity ----------------------------------------------------------
 
 
 def test_distinct_varieties_documented_cases():
     assert distinct_varieties([(3, 3), (4, 4), (5, 5)])
     assert distinct_varieties([(4, 4)])
-    assert distinct_varieties([(3, 3), (4, 4)], use_oracle=True)
+    assert all(l6_member_oracle(n, n, m, m) == (n == m) for n in (3, 4) for m in (3, 4))
 
 
 def test_distinct_varieties_rejects_off_diagonal():
