@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import NotAnElement, NotRegular, check_natural
+from .errors import IndexOutOfRange, NotAnElement, NotRegular, check_natural
 from .order import DOWNSET_LIMIT, Poset
 from .space import Space
 
@@ -62,19 +62,18 @@ class Algebra:
         return Poset.set_of(self.space.poset.all_mask)
 
     def mask_of(self, xs: Iterable[int]) -> int:
-        """Bitmask of the element with points ``xs``, or :class:`NotAnElement`.
-        A point is a non-bool int, as a map image is in :mod:`pmkit.morphism`."""
+        """Bitmask of the element with points ``xs``, or :class:`NotAnElement`
+        (also for members that are no point, by :func:`pmkit.order.is_index`)."""
         try:
             xs = tuple(xs)
         except TypeError:
             raise NotAnElement(f"{xs!r} is not a set of points") from None
-        n = self.space.n
-        if all(type(x) is int and 0 <= x < n for x in xs):
-            mask = 0
-            for x in xs:
-                mask |= 1 << x
+        try:
+            mask = self.space.poset.mask_of(xs)
             if mask in self._index:
                 return mask
+        except IndexOutOfRange:
+            pass
         try:
             xs = sorted(xs)
         except TypeError:  # points of mixed types, listed as given

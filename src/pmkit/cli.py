@@ -19,9 +19,10 @@ from pathlib import Path
 from . import acceptance, catalog
 from .algebra import dual_algebra
 from .document import NamedSpace, parse_space
-from .errors import ParseError, PmkitError
+from .errors import NotAnElement, ParseError, PmkitError
 from .morphism import DEFAULT_BUDGET, is_pm_isomorphic, search_surjective
-from .subalgebra import generate_subalgebra, one_generator_growth
+from .order import DOWNSET_LIMIT
+from .subalgebra import ClosureResult, _close, one_generator_growth
 from .variety import SimpleRef, l6_member, l6_member_oracle, subvariety_lattice
 
 OK, FALSE, ERROR = 0, 1, 2
@@ -78,9 +79,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_kind(args) -> int:
-    named = resolve_space(args.space)
-    kind = named.space.kind()
-    range_of = dual_algebra(named.space).range_of()
+    space = resolve_space(args.space).space
+    kind = space.kind()
+    # at height <= 1 the range is the zeta-width, so only a space of greater
+    # height lists its downsets
+    range_of = kind.zeta_width if kind.regular else dual_algebra(space).range_of()
     print(f"regular: {str(kind.regular).lower()}")
     print(f"kleene: {str(kind.kleene).lower()}")
     print(f"width: {kind.zeta_width}")
@@ -177,7 +180,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_subalg(args) -> int:
     named = resolve_space(args.space)
-    algebra = dual_algebra(named.space)
+    poset = named.space.poset
     index = {name: i for i, name in enumerate(named.names)}
     gens = []
     for token in args.gens:
@@ -185,8 +188,13 @@ def cmd_subalg(args) -> int:
         unknown = [t for t in members if t not in index]
         if unknown:
             raise PmkitError(f"unknown element names: {', '.join(unknown)}")
-        gens.append(frozenset(index[t] for t in members))
-    result = generate_subalgebra(algebra, gens)
+        points = sorted({index[t] for t in members})
+        if not poset.is_decreasing(points):
+            raise NotAnElement(f"{points} is not a downset of this space")
+        gens.append(poset.mask_of(points))
+    # closed on the space alone: the downsets are never listed
+    members, count = _close(named.space, gens, DOWNSET_LIMIT)
+    result = ClosureResult(set(members), len(gens), count)
     print(f"size: {len(result)}")
     print(f"op_applications: {result.op_applications}")
     if args.list:

@@ -27,29 +27,20 @@ from .errors import (
     SearchBudgetExceeded,
     check_natural,
 )
-from .order import iter_bits
+from .order import check_indices, iter_bits
 from .space import Space
 
 #: Default cap on assignment attempts per search.
 DEFAULT_BUDGET = 10**8
 
 
-_INT = frozenset({int})
-
-
 def _images(src: Space, dst: Space, mapping: Sequence[int]) -> tuple[int, ...]:
     """``mapping`` as a tuple, after checking that it sends every point of
-    ``src`` to a point of ``dst``: one image per point, each a (non-bool) int
-    in range."""
+    ``src`` to a point of ``dst``."""
     phi = tuple(mapping)
     if len(phi) != src.n:
         raise IndexOutOfRange("mapping must assign every source element")
-    if not _INT.issuperset(map(type, phi)):
-        bad = next(t for t in phi if type(t) is not int)
-        raise IndexOutOfRange(f"mapping image {bad!r} is not an int")
-    if phi and (min(phi) < 0 or max(phi) >= dst.n):
-        raise IndexOutOfRange("mapping image out of range")
-    return phi
+    return check_indices(phi, dst.n, "mapping image")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ relation), so comparability queries are O(1) word operations.  Distances are
 measured in the comparability graph: an edge joins two distinct comparable
 elements, and the distance across different order components is infinite.
 Infinity is a symbolic :class:`Distance` value, never a numeric sentinel.
-:func:`closed_masks` is the one listing of a family closed under union and
-intersection (downsets, subalgebra members, congruence sets), and the one
-place its size budget is enforced.
+This module alone decides what a point is: :func:`is_index` and
+:func:`check_indices` hold every index, map image and involution entry of
+the library to one rule, an exact ``int`` (no bool, no other subclass) in
+``range(n)``.  :func:`closed_masks` is the one listing of a family closed
+under union and intersection (downsets, subalgebra members, congruence
+sets), and the one place its size budget is enforced.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -138,18 +141,29 @@ class Distance:
 INFINITE = Distance(None)
 
 
+_INT = frozenset({int})
+
+
 def is_index(x, n: int) -> bool:
-    """True when ``x`` is a non-bool int in ``range(n)``."""
-    return not isinstance(x, bool) and isinstance(x, int) and 0 <= x < n
+    """True when ``x`` is a point of an ``n``-point space: an ``int`` in
+    ``range(n)``, and not a bool or any other subclass of ``int``."""
+    return type(x) is int and 0 <= x < n
 
 
-def check_index(x, n: int) -> None:
-    """Raise :class:`IndexOutOfRange` unless ``x`` is a non-bool int in
-    ``range(n)``; the one index test of every :class:`Poset` entry point."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise IndexOutOfRange(f"index {x!r} is not an int")
-    if not 0 <= x < n:
-        raise IndexOutOfRange(f"index {x} out of range for n={n}")
+def check_indices(xs: Iterable[int], n: int, noun: str = "index") -> tuple[int, ...]:
+    """``xs`` as a tuple, after checking that each member is a point of an
+    ``n``-point space (:func:`is_index`).  Raises :class:`IndexOutOfRange`
+    naming the first member that is not an int, else the first out of range;
+    ``noun`` says what the members are ("index", "mapping image")."""
+    xs = tuple(xs)
+    # C-level passes over the whole tuple; the generators run on failure only
+    if not _INT.issuperset(map(type, xs)):
+        bad = next(x for x in xs if type(x) is not int)
+        raise IndexOutOfRange(f"{noun} {bad!r} is not an int")
+    if xs and (min(xs) < 0 or max(xs) >= n):
+        bad = next(x for x in xs if not 0 <= x < n)
+        raise IndexOutOfRange(f"{noun} {bad} out of range for n={n}")
+    return xs
 
 
 def _raise_order_fault(up: Sequence[int], i: int) -> None:
@@ -181,10 +195,11 @@ class Poset:
         up = list(up_rows)
         all_mask = (1 << n) - 1
         for i, row in enumerate(up):
-            if isinstance(row, bool) or not isinstance(row, int):
+            # a row is a mask of points: an int in range(2**n) by the point rule
+            if not is_index(row, all_mask + 1):
+                if type(row) is int:
+                    raise IndexOutOfRange(f"row {i} mentions indices >= {n}")
                 raise IndexOutOfRange(f"row {i} is not an int mask: {row!r}")
-            if row & ~all_mask:
-                raise IndexOutOfRange(f"row {i} mentions indices >= {n}")
             if not (row >> i) & 1:
                 raise ReflexivityBroken(f"{i} not <= {i}", witness=(i, i))
         # One pass over the bits of every row builds the down rows and the
@@ -265,8 +280,7 @@ class Poset:
 
     def mask_of(self, xs: Iterable[int]) -> int:
         mask = 0
-        for x in xs:
-            check_index(x, self.n)
+        for x in check_indices(xs, self.n):
             mask |= 1 << x
         return mask
 
@@ -278,32 +292,28 @@ class Poset:
 
     def leq(self, x: int, y: int) -> bool:
         n = self.n
-        # Plain ints in range skip the call; the validator raises on the rest
-        # (an int subclass other than bool passes it).
+        # Points skip the call, which raises on everything else.
         if not (type(x) is int and type(y) is int and 0 <= x < n and 0 <= y < n):
-            check_index(x, n)
-            check_index(y, n)
+            check_indices((x, y), n)
         return bool((self._up[x] >> y) & 1)
 
     def down_closure(self, xs: Iterable[int]) -> frozenset[int]:
         """All elements below some member of ``xs``."""
         mask = 0
-        for x in xs:
-            check_index(x, self.n)
+        for x in check_indices(xs, self.n):
             mask |= self._down[x]
         return self.set_of(mask)
 
     def up_closure(self, xs: Iterable[int]) -> frozenset[int]:
         """All elements above some member of ``xs``."""
         mask = 0
-        for x in xs:
-            check_index(x, self.n)
+        for x in check_indices(xs, self.n):
             mask |= self._up[x]
         return self.set_of(mask)
 
     def is_decreasing(self, xs: Iterable[int]) -> bool:
-        xs = frozenset(xs)
-        return self.down_closure(xs) == xs
+        mask = self.mask_of(xs)
+        return all(not self._down[x] & ~mask for x in iter_bits(mask))
 
     def minimals_mask(self) -> int:
         return self._min
@@ -319,7 +329,8 @@ class Poset:
 
     def min_below(self, x: int) -> frozenset[int]:
         """Minimal elements below ``x`` (the lower shadow of a point)."""
-        check_index(x, self.n)
+        if not is_index(x, self.n):
+            check_indices((x,), self.n)
         return self.set_of(self._down[x] & self._min)
 
     # -- comparability-graph metrics --------------------------------------
@@ -339,13 +350,12 @@ class Poset:
 
     def distance(self, x: int, y: int) -> Distance:
         """Shortest-path distance between ``x`` and ``y``; infinite across components."""
-        check_index(x, self.n)
-        check_index(y, self.n)
+        check_indices((x, y), self.n)
         return self.distance_levels((x,))[y]
 
     def distance_to_set(self, x: int, xs: Iterable[int]) -> Distance:
         """Least distance from ``x`` to a member of ``xs``; infinite for the empty set."""
-        check_index(x, self.n)
+        check_indices((x,), self.n)
         return self.distance_levels(xs)[x]
 
     def distance_levels(self, xs: Iterable[int]) -> list[Distance]:
@@ -370,7 +380,7 @@ class Poset:
 
     def ball(self, x: int, radius: int) -> frozenset[int]:
         """All elements at distance at most ``radius`` from ``x``."""
-        check_index(x, self.n)
+        check_indices((x,), self.n)
         check_natural(radius, "radius")
         return self.set_of(self._within(1 << x, radius))
 

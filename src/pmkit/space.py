@@ -19,7 +19,7 @@ from .errors import (
     check_natural,
 )
 from .order import DOWNSET_LIMIT, Distance, Poset, canonical_sort, closed_masks
-from .order import check_index, is_index, iter_bits
+from .order import check_indices, is_index, iter_bits
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,8 @@ class Space:
 
     def zeta_image(self, xs: Iterable[int]) -> frozenset[int]:
         """Pointwise image of a set under the involution."""
-        out = set()
-        for x in xs:
-            check_index(x, self.n)
-            out.add(self.zeta[x])
-        return frozenset(out)
+        zeta = self.zeta
+        return frozenset([zeta[x] for x in check_indices(xs, self.n)])
 
     def star_prime(self, mask: int) -> tuple[int, int]:
         """Star and prime of the point set ``mask`` in one pass: the
@@ -125,8 +122,7 @@ class Space:
 
     def zeta_distance(self, x: int, y: int) -> Distance:
         """min of the distances from ``x`` to ``y`` and to ``zeta(y)``, in one sweep."""
-        check_index(x, self.n)
-        check_index(y, self.n)
+        check_indices((x, y), self.n)
         return self.poset.distance_to_set(x, (y, self.zeta[y]))
 
     def zeta_width(self) -> int:

@@ -378,6 +378,40 @@ def test_range_equals_width(regular_spaces):
         assert dual_algebra(space).range_of() == space.zeta_width(), name
 
 
+def loop_graph_space(k, rng):
+    """Two-level space on k zeta-pairs: ``i < zeta(j)`` iff ``i ~ j`` in a
+    random graph with loops on ``range(k)``."""
+    p = rng.choice((0.2, 0.5, 0.8, 1.0))
+    edges = [(i, j) for i in range(k) for j in range(i, k) if rng.random() < p]
+    pairs = [(i, k + j) for i, j in edges] + [(j, k + i) for i, j in edges]
+    return Space(Poset.from_pairs(2 * k, pairs), [*range(k, 2 * k), *range(k)])
+
+
+def random_regular_space(rng):
+    """One or two loop-graph parts with k <= 5 pairs each, beside up to two
+    isolated fixed points and two isolated swapped pairs: every regular
+    space has this form.  At most 12 points."""
+    fixed, swapped = Space(Poset.antichain(1), [0]), Space(Poset.antichain(2), [1, 0])
+    space = loop_graph_space(rng.randint(1, 5), rng)
+    if space.n <= 8 and rng.random() < 0.5:
+        other = loop_graph_space(rng.randint(1, 6 - space.n // 2), rng)
+        space = catalog.disjoint_union(space, other)
+    for part in [fixed] * rng.randint(0, 2) + [swapped] * rng.randint(0, 2):
+        if space.n + part.n <= 12:
+            space = catalog.disjoint_union(space, part)
+    return space
+
+
+def test_range_equals_width_on_random_regular_spaces():
+    """``pmkit kind`` reads the range of a regular space off its zeta-width;
+    the algebra's range is the oracle."""
+    rng = random.Random(1515)
+    for _ in range(150):
+        space = random_regular_space(rng)
+        assert space.is_regular()
+        assert dual_algebra(space).range_of() == space.zeta_width(), space
+
+
 # -- regularity ---------------------------------------------------------------------
 
 

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from pmkit.catalog import disjoint_union, nonregular_chain3, q6
 from pmkit.cli import main
-from pmkit.document import MAX_ELEMENTS
+from pmkit.document import MAX_ELEMENTS, format_space
 
 
 def run(capsys, *argv):
@@ -195,6 +196,13 @@ def test_subalg_rejects_unknown_names(capsys):
     assert code == 2
 
 
+def test_subalg_rejects_generators_that_are_not_downsets(capsys):
+    """y0 (point 5) lies above x2, so {x0, y0} is no element."""
+    code, out, err = run(capsys, "subalg", "grid:5", "--gens", "x0", "--gens", "y0,x0")
+    assert code == 2 and out == ""
+    assert err == "error: NotAnElement: [0, 5] is not a downset of this space\n"
+
+
 def test_grow(capsys):
     code, out, _ = run(capsys, "grow", "12")
     assert code == 0
@@ -231,12 +239,31 @@ def test_congruences_list_no_downsets(capsys):
     assert out.splitlines()[0] == "count: 2"
 
 
-def test_kind_prints_nothing_when_it_fails(capsys):
-    """The range of q6:0,21 needs its 2**21 + 1 downsets; the report fails
-    whole, with no partial lines before the error."""
-    code, out, err = run(capsys, "kind", "q6:0,21")
+def test_kind_prints_nothing_when_it_fails(tmp_path, capsys):
+    """Beside the three-chain, of height 2, the range of q6:0,21 needs all
+    4 * (2**21 + 1) downsets of the union; the report fails whole, with no
+    partial lines before the error."""
+    path = tmp_path / "chain3-q6.json"
+    path.write_text(format_space(disjoint_union(nonregular_chain3(), q6(0, 21))))
+    code, out, err = run(capsys, "kind", str(path))
     assert code == 2 and out == ""
     assert "SizeLimitExceeded: more than 1048576 downsets" in err
+
+
+def test_kind_reads_the_range_of_a_regular_space_off_its_width(capsys):
+    """q6:0,21 is regular, so its range is its zeta-width and none of its
+    2**21 + 1 downsets is listed."""
+    code, out, err = run(capsys, "kind", "q6:0,21")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["regular: true", "kleene: true", "width: 1", "range: 1"]
+
+
+def test_subalg_lists_no_downsets(capsys):
+    """The closure of one minimal singleton in q6:0,21 runs on the space
+    alone, past the 2**21 + 1 downsets of its algebra."""
+    code, out, err = run(capsys, "subalg", "q6:0,21", "--gens", "s0")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "size: 7"
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -1,0 +1,80 @@
+"""One rule for points: an exact ``int`` in ``range(n)``, decided by
+:mod:`pmkit.order` for every entry of the library that takes a point."""
+
+from enum import IntEnum
+
+import pytest
+
+from pmkit import MorphismMap, Poset, Space, catalog, check_pm_morphism, dual_algebra
+from pmkit.errors import IndexOutOfRange, NotAnElement
+from pmkit.morphism import check_q6_criteria
+from pmkit.order import check_indices
+
+
+class P(IntEnum):
+    A = 0
+    B = 1
+
+
+SRC, DST = catalog.q6(1, 3), catalog.q6(0, 3)
+
+#: Each entry called with ``bad`` in a point position; by its value alone
+#: (1 for the enum member and ``True``) every call would succeed.
+ENTRIES = {
+    "leq-left": (IndexOutOfRange, lambda bad: SRC.poset.leq(bad, 4)),
+    "leq-right": (IndexOutOfRange, lambda bad: SRC.poset.leq(0, bad)),
+    "mask_of": (IndexOutOfRange, lambda bad: SRC.poset.mask_of([0, bad])),
+    "down_closure": (IndexOutOfRange, lambda bad: SRC.poset.down_closure([bad])),
+    "up_closure": (IndexOutOfRange, lambda bad: SRC.poset.up_closure([bad])),
+    "is_decreasing": (IndexOutOfRange, lambda bad: SRC.poset.is_decreasing([bad])),
+    "min_below": (IndexOutOfRange, lambda bad: SRC.poset.min_below(bad)),
+    "distance-left": (IndexOutOfRange, lambda bad: SRC.poset.distance(bad, 0)),
+    "distance-right": (IndexOutOfRange, lambda bad: SRC.poset.distance(0, bad)),
+    "distance_to_set-point": (IndexOutOfRange, lambda bad: SRC.poset.distance_to_set(bad, [0])),
+    "distance_to_set-set": (IndexOutOfRange, lambda bad: SRC.poset.distance_to_set(0, [bad])),
+    "distance_levels": (IndexOutOfRange, lambda bad: SRC.poset.distance_levels([bad])),
+    "ball": (IndexOutOfRange, lambda bad: SRC.poset.ball(bad, 1)),
+    "zeta_image": (IndexOutOfRange, lambda bad: SRC.zeta_image([bad])),
+    "zeta_distance-left": (IndexOutOfRange, lambda bad: SRC.zeta_distance(bad, 0)),
+    "zeta_distance-right": (IndexOutOfRange, lambda bad: SRC.zeta_distance(0, bad)),
+    "Space": (IndexOutOfRange, lambda bad: Space(Poset.antichain(2), [bad, 0])),
+    "MorphismMap": (IndexOutOfRange, lambda bad: MorphismMap(SRC, DST, (bad, 1, 2, 4, 4, 5))),
+    "check_pm_morphism": (
+        IndexOutOfRange, lambda bad: check_pm_morphism(SRC, DST, (bad, 1, 2, 4, 4, 5))
+    ),
+    "check_q6_criteria": (
+        IndexOutOfRange, lambda bad: check_q6_criteria(SRC, DST, (bad, 1, 2, 4, 4, 5))
+    ),
+    "Algebra.star": (NotAnElement, lambda bad: dual_algebra(SRC).star([bad])),
+    "Algebra.index_of": (NotAnElement, lambda bad: dual_algebra(SRC).index_of([bad])),
+}
+
+
+@pytest.mark.parametrize("bad", [P.B, True, 1.0, 6], ids=["IntEnum", "bool", "float", "high"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_point_entry_refuses_what_is_no_point(entry, bad):
+    error, call = ENTRIES[entry]
+    with pytest.raises(error):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_point_entry_takes_the_point_itself(entry):
+    """The same calls with the plain int 1 go through: the refusals above
+    are for the kind of value, not for the point."""
+    ENTRIES[entry][1](1)
+
+
+def test_the_check_names_the_first_bad_member():
+    assert check_indices([2, 0, 2], 3) == (2, 0, 2)
+    assert check_indices((), 0) == ()
+    cases = [
+        (([0, "a", 1.0], 3), "index 'a' is not an int"),
+        (([9, P.B], 3), "index <P.B: 1> is not an int"),
+        (([0, 5, -1], 3, "mapping image"), "mapping image 5 out of range for n=3"),
+        (([-1, 5], 3), "index -1 out of range for n=3"),
+    ]
+    for args, message in cases:
+        with pytest.raises(IndexOutOfRange) as err:
+            check_indices(*args)
+        assert str(err.value) == message
