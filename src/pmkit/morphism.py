@@ -8,18 +8,32 @@ so the exhaustive search below decides embeddability questions.
 
 The search assigns images to minimal elements first; the involution then
 forces the images of their partners, which halves the branching on spaces
-of height at most 1.  Pruning is by per-assignment order checks and a
-surjectivity reachability bound; the minimal-element condition is verified
-at the leaves by the same validator used for standalone checking.  The scan
-is in lexicographic order with a configurable node budget, so verdicts and
-witnesses are deterministic.
+of height at most 1.  The scan is in lexicographic order with a
+configurable node budget, so verdicts and witnesses are deterministic.
+Pruning never removes the lexicographically first witness:
+
+* two static candidate filters drawn from the minimal-element condition:
+  ``x <= zeta(x)`` forces ``phi(x) <= zeta(phi(x))``, and ``phi(x)`` has at
+  most as many minimals below it as ``x`` has;
+* per-assignment order checks, and a surjectivity reachability bound;
+* twin value-symmetry breaking: targets ``t < t'`` are twins when the swap
+  ``(t t')(zeta t, zeta t')`` is an automorphism of the target.  Let ``t``
+  be the least twin of ``t'``.  While ``t``, ``t'`` and their partners are
+  all unused, the swap fixes every value used so far and turns a witness
+  with ``x -> t'`` into one with ``x -> t``, so ``t'`` is not tried (Van
+  Hentenryck, Flener, Pearson & Agren 2003, "Tractable symmetry breaking
+  for CSPs with interchangeable values").  Automorphisms keep the point
+  signatures of the isomorphism test, so the argument holds there too.
+
+The minimal-element condition is verified in full at the leaves by the same
+validator used for standalone checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -32,6 +46,10 @@ from .space import Space
 
 #: Default cap on assignment attempts per search.
 DEFAULT_BUDGET = 10**8
+
+#: Spaces whose search tables are remembered: enough for every source and
+#: target of a few hundred searches asked over and over.
+_TABLES_CACHE_SIZE = 1024
 
 
 def _images(src: Space, dst: Space, mapping: Sequence[int]) -> tuple[int, ...]:
@@ -102,6 +120,83 @@ class SearchReport:
     nodes_explored: int
 
 
+class _Tables(NamedTuple):
+    """What the search reads off one space, computed once per space."""
+
+    #: mask of the points ``t`` with ``t <= zeta(t)``
+    below_partner: int
+    #: ``min_count[t]``: the number of minimals below ``t``
+    min_count: tuple[int, ...]
+    #: ``at_most[k]``: mask of the points with at most ``k`` minimals below
+    at_most: tuple[int, ...]
+    #: ``twin[t]``: the least twin of ``t``, the representative of its class
+    #: (``t`` itself when no twin is smaller)
+    twin: tuple[int, ...]
+
+
+def _is_twin_swap(space: Space, t: int, u: int) -> bool:
+    """True when the swap ``(t u)(zeta t, zeta u)`` (just ``(t u)`` when
+    ``u = zeta t``) is an automorphism of ``space``."""
+    p, zeta = space.poset, space.zeta
+    zt, zu = zeta[t], zeta[u]
+    if (zt == t) != (zu == u):
+        return False
+    moved = 1 << t | 1 << u | 1 << zt | 1 << zu
+    # A row outside the moved points is kept when it holds t and u alike, and
+    # zeta t and zeta u alike; zeta carries the second test to the up rows.
+    up_t, up_u, down_t, down_u = p.up_mask(t), p.up_mask(u), p.down_mask(t), p.down_mask(u)
+    if (up_t ^ up_u | down_t ^ down_u) & ~moved:
+        return False
+    swap = {t: u, u: t, zt: zu, zu: zt}
+
+    def image(mask: int) -> int:
+        out = mask & ~moved
+        for a, b in swap.items():
+            if mask >> a & 1:
+                out |= 1 << b
+        return out
+
+    # The swap commutes with zeta, so the rows of zeta t and zeta u follow.
+    return image(up_t) == up_u and image(down_t) == down_u
+
+
+@lru_cache(maxsize=_TABLES_CACHE_SIZE)
+def _search_tables(space: Space) -> _Tables:
+    """The candidate filters and the twins of every point of ``space``.
+
+    Cached per space, which is sound because spaces are immutable.  Being
+    twins is an equivalence, so each point is tested against the
+    representatives found so far, and only against those that agree with it
+    on the sizes of their up and down rows and on how they compare with
+    their partner, which every automorphism commuting with zeta preserves.
+    """
+    p, zeta = space.poset, space.zeta
+    minimals = p.minimals_mask()
+    below_partner = 0
+    min_count = []
+    groups: dict[tuple, list[int]] = {}
+    for t in range(space.n):
+        up, down, zt = p.up_mask(t), p.down_mask(t), zeta[t]
+        if up >> zt & 1:
+            below_partner |= 1 << t
+        min_count.append((down & minimals).bit_count())
+        key = (up.bit_count(), down.bit_count(), zt == t, up >> zt & 1, down >> zt & 1)
+        groups.setdefault(key, []).append(t)
+    at_most = [0] * (max(min_count, default=0) + 1)
+    for t, k in enumerate(min_count):
+        at_most[k] |= 1 << t
+    for k in range(1, len(at_most)):
+        at_most[k] |= at_most[k - 1]
+    twin = list(range(space.n))
+    for members in groups.values():
+        reps: list[int] = []
+        for u in members:
+            twin[u] = next((r for r in reps if _is_twin_swap(space, r, u)), u)
+            if twin[u] == u:
+                reps.append(u)
+    return _Tables(below_partner, tuple(min_count), tuple(at_most), tuple(twin))
+
+
 class _Search:
     """Backtracking core of the surjective search and the isomorphism test."""
 
@@ -110,9 +205,12 @@ class _Search:
         self.dst = dst
         self.budget = budget
         self.nodes = 0
+        self.deepest = 0
         sp, dp = src.poset, dst.poset
         src_min, src_max = sp.minimals_mask(), sp.maximals_mask()
         dst_min, dst_max = dp.minimals_mask(), dp.maximals_mask()
+        src_tables, dst_tables = _search_tables(src), _search_tables(dst)
+        at_most, below_partner = dst_tables.at_most, dst_tables.below_partner
         self.cand = []
         for x in range(src.n):
             c = dp.all_mask
@@ -120,7 +218,15 @@ class _Search:
                 c &= dst_min
             if (src_max >> x) & 1:
                 c &= dst_max
+            # x <= zeta(x) forces phi(x) <= zeta(phi(x)), and every minimal
+            # below phi(x) is the image of one below x.
+            if (src_tables.below_partner >> x) & 1:
+                c &= below_partner
+            k = src_tables.min_count[x]
+            if k < len(at_most):
+                c &= at_most[k]
             self.cand.append(c)
+        self.twin = dst_tables.twin
         # Minimal elements first: their partners' images come for free.
         minimals = sorted(iter_bits(src_min))
         rest = sorted(set(range(src.n)) - set(minimals))
@@ -140,6 +246,12 @@ class _Search:
             if sp.leq(x, u) and not dp.leq(t, fu):
                 return False
         return True
+
+    def _twin_free(self, t: int, tz: int, r: int) -> bool:
+        """True when ``t``, its representative twin ``r`` and their partners
+        are all unused, so ``r`` is tried in place of ``t``."""
+        covered = self.covered
+        return not (covered[t] or covered[tz] or covered[r] or covered[self.dst.zeta[r]])
 
     def _place(self, x: int, t: int) -> bool:
         self.mapping[x] = t
@@ -169,6 +281,8 @@ class _Search:
         n = self.src.n
         while pos < n and self.mapping[self.order[pos]] >= 0:
             pos += 1
+        if len(self.assigned) > self.deepest:
+            self.deepest = len(self.assigned)
         if pos == n:
             if self._leaf_ok():
                 self.witness = tuple(self.mapping)
@@ -177,12 +291,16 @@ class _Search:
         x = self.order[pos]
         zx = self.src.zeta[x]
         for t in iter_bits(self.cand[x]):
+            tz = self.dst.zeta[t]
+            r = self.twin[t]
+            if r != t and self._twin_free(t, tz, r):
+                continue  # not an attempt: r stands for t
             self.nodes += 1
             if self.nodes > self.budget:
                 raise SearchBudgetExceeded(
                     f"search exceeded {self.budget} assignment attempts"
+                    f" (deepest: {self.deepest} of {n} points)"
                 )
-            tz = self.dst.zeta[t]
             if zx == x and tz != t:
                 continue
             if not self._consistent(x, t):

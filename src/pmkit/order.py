@@ -179,6 +179,66 @@ def _raise_order_fault(up: Sequence[int], i: int) -> None:
             )
 
 
+def _closure(rows: Sequence[int]) -> list[int]:
+    """The reflexive-transitive closure of the relation whose row ``i`` holds
+    ``i`` and its direct successors.
+
+    Tarjan's depth-first search closes one strongly connected component at a
+    time, in reverse topological order: the component's row is its members
+    and the closed rows of the successors outside it, which are complete by
+    then.  A row with no successor is closed as given and costs one test.
+    """
+    n = len(rows)
+    closed = list(rows)
+    number, low = [0] * n, [0] * n  # depth-first number (0: unvisited), low link
+    done = bytearray(n)  # in a closed component
+    path: list[int] = []  # Tarjan's stack of open points
+    count = 0
+    for root in range(n):
+        if number[root] or rows[root] == 1 << root:
+            continue
+        count += 1
+        number[root] = low[root] = count
+        path.append(root)
+        frames = [(root, rows[root] & ~(1 << root))]
+        while frames:
+            v, rest = frames[-1]
+            if rest:
+                w = (rest & -rest).bit_length() - 1
+                frames[-1] = (v, rest & (rest - 1))
+                if done[w] or rows[w] == 1 << w:
+                    continue
+                if number[w]:
+                    low[v] = min(low[v], number[w])
+                    continue
+                count += 1
+                number[w] = low[w] = count
+                path.append(w)
+                frames.append((w, rows[w] & ~(1 << w)))
+                continue
+            frames.pop()
+            if frames:
+                u = frames[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] != number[v]:
+                continue
+            members = successors = 0
+            while True:
+                w = path.pop()
+                done[w] = 1
+                members |= 1 << w
+                successors |= rows[w]
+                if w == v:
+                    break
+            reach, rest = members, successors & ~members
+            while rest:
+                reach |= closed[(rest & -rest).bit_length() - 1]
+                rest &= ~reach
+            for w in iter_bits(members):
+                closed[w] = reach
+    return closed
+
+
 class Poset:
     """An immutable finite partial order on indices ``0..n-1``.
 
@@ -248,13 +308,7 @@ class Poset:
             if not (is_index(a, n) and is_index(b, n)):
                 raise IndexOutOfRange(f"pair ({a!r}, {b!r}) out of range for n={n}")
             up[a] |= 1 << b
-        # Warshall closure on bit rows.
-        for k in range(n):
-            bit_k = 1 << k
-            for i in range(n):
-                if up[i] & bit_k:
-                    up[i] |= up[k]
-        return cls(up)
+        return cls(_closure(up))
 
     @classmethod
     def antichain(cls, n: int) -> "Poset":

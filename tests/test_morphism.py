@@ -16,7 +16,7 @@ from pmkit import (
     search_surjective,
 )
 from pmkit.errors import BadParams, IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
-from pmkit.morphism import Q6CriteriaReport, q6_params_of
+from pmkit.morphism import Q6CriteriaReport, _search_tables, q6_params_of
 from pmkit.order import iter_bits
 
 
@@ -199,6 +199,29 @@ def test_search_is_deterministic():
 def test_search_budget_error():
     with pytest.raises(SearchBudgetExceeded):
         search_surjective(catalog.crown_pair(4), catalog.crown_pair(3), budget=50)
+
+
+def test_search_budget_error_says_how_far_it_got():
+    message = r"^search exceeded 50 assignment attempts \(deepest: 10 of 16 points\)$"
+    with pytest.raises(SearchBudgetExceeded, match=message):
+        search_surjective(catalog.crown_pair(4), catalog.crown_pair(3), budget=50)
+    with pytest.raises(SearchBudgetExceeded, match=r"\(deepest: 0 of 16 points\)$"):
+        search_surjective(catalog.crown_pair(4), catalog.crown_pair(3), budget=0)
+
+
+@pytest.mark.parametrize(
+    "src, dst, bound",
+    [
+        # 17,106 and 60,620 nodes without the candidate filters and twins
+        (catalog.crown_pair(4), catalog.crown_pair(3), 2_500),
+        (catalog.q6(7, 7), catalog.q6(3, 7), 100),
+    ],
+    ids=["crown4-crown3", "q6(7,7)-q6(3,7)"],
+)
+def test_pruning_bounds_negative_searches(src, dst, bound):
+    report = search_surjective(src, dst)
+    assert not report.found
+    assert report.nodes_explored <= bound
 
 
 @pytest.mark.parametrize("budget", [-3, 1.5, True, "10", None])
@@ -534,3 +557,101 @@ def test_invalid_maps_rejected_like_reference(bad):
     assert _raised(check_q6_criteria, src, dst, bad) == expected
     assert _raised(check_pm_morphism, src, dst, bad) == expected
     assert _raised(MorphismMap, src, dst, bad) == expected
+
+
+# -- twins -----------------------------------------------------------------------
+
+
+def twin_swap(space, t, u):
+    """The swap ``(t u)(zeta t, zeta u)`` as a list, or None when it does not
+    send ``t`` to ``u`` (a fixed point and a moved one)."""
+    zt, zu = space.zeta[t], space.zeta[u]
+    perm = list(range(space.n))
+    for a, b in ((t, u), (u, t), (zt, zu), (zu, zt)):
+        perm[a] = b
+    return perm if perm[t] == u and sorted(perm) == list(range(space.n)) else None
+
+
+def brute_twins(space):
+    """Every pair ``t < u`` whose swap passes the map check, both ways."""
+    pairs = set()
+    for t, u in itertools.combinations(range(space.n), 2):
+        perm = twin_swap(space, t, u)
+        if perm is None or not check_pm_morphism(space, space, perm).ok:
+            continue
+        inverse = [perm.index(y) for y in range(space.n)]
+        if check_pm_morphism(space, space, inverse).ok:
+            pairs.add((t, u))
+    return pairs
+
+
+def classes_of(pairs, n):
+    """The classes of the relation ``pairs`` on ``range(n)``, after checking
+    that it is an equivalence; singletons left out."""
+    related = {t: {t} for t in range(n)}
+    for t, u in pairs:
+        related[t].add(u)
+        related[u].add(t)
+    for t, block in related.items():
+        assert all(related[u] == block for u in block), t
+    return {frozenset(block) for block in related.values() if len(block) > 1}
+
+
+def twin_classes(space):
+    """The classes the search tables give, each named by its least point."""
+    twin = _search_tables(space).twin
+    classes = {}
+    for t in range(space.n):
+        assert twin[t] <= t and twin[twin[t]] == twin[t]
+        classes.setdefault(twin[t], set()).add(t)
+    return {frozenset(block) for block in classes.values() if len(block) > 1}
+
+
+def twin_test_spaces(catalog_spaces, random_pm_space):
+    rng = random.Random(17)
+    spaces = [space for _, space in catalog_spaces]
+    spaces += [random_pm_space(rng) for _ in range(60)]
+    spaces += [catalog.disjoint_union(catalog.q(i), catalog.q(i)) for i in range(6)]
+    spaces += [_relabel(s, rng.sample(range(s.n), s.n)) for s in spaces[:20]]
+    return spaces
+
+
+def test_twins_match_a_scan_of_all_swaps(catalog_spaces, random_pm_space):
+    seen = 0
+    for space in twin_test_spaces(catalog_spaces, random_pm_space):
+        classes = twin_classes(space)
+        assert classes == classes_of(brute_twins(space), space.n), space
+        for block in classes:
+            for t, u in itertools.combinations(sorted(block), 2):
+                perm = twin_swap(space, t, u)
+                assert check_pm_morphism(space, space, perm).ok
+                inverse = [perm.index(y) for y in range(space.n)]
+                assert check_pm_morphism(space, space, inverse).ok
+            seen += 1
+    assert seen > 100
+
+
+def test_twin_classes_of_fixed_points_and_partners():
+    # two fixed points side by side; a swapped pair of incomparable points
+    assert twin_classes(catalog.disjoint_union(catalog.q(0), catalog.q(0))) == {
+        frozenset({0, 1})
+    }
+    assert twin_classes(catalog.q(1)) == {frozenset({0, 1})}
+    assert twin_classes(catalog.q(2)) == set()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_crown_twins_pair_i_with_i_plus_n(n):
+    space = catalog.crown_pair(n)
+    expected = {frozenset({i, i + n}) for i in [*range(n), *range(2 * n, 3 * n)]}
+    assert twin_classes(space) == expected
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for n in (3, 4, 5) for m in range(n + 1)])
+def test_q6_twins_are_the_exceptions_and_the_rest(m, n):
+    """On each level the exceptions form one class and the other points
+    another."""
+    space = catalog.q6(m, n)
+    blocks = [range(m), range(m, n), range(n, n + m), range(n + m, 2 * n)]
+    expected = {frozenset(block) for block in blocks if len(block) > 1}
+    assert twin_classes(space) == expected

@@ -12,7 +12,7 @@ from pmkit.errors import (
     SizeLimitExceeded,
     TransitivityBroken,
 )
-from pmkit.order import closed_masks, iter_bits
+from pmkit.order import _closure, closed_masks, iter_bits
 from pmkit.subalgebra import one_generator_growth
 
 
@@ -60,6 +60,66 @@ def test_direct_constructor_validates_transitivity():
 def test_bad_index_rejected():
     with pytest.raises(IndexOutOfRange):
         Poset.from_pairs(2, [(0, 5)])
+
+
+def warshall_rows(n, pairs):
+    """The closure as ``from_pairs`` first took it: Warshall's n^2 loop."""
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a] |= 1 << b
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return up
+
+
+def random_pairs(rng):
+    """Pairs along a random order, self-loops included; in about a third of
+    the lists one pair also appears reversed, which closes a cycle."""
+    n = rng.randint(1, 14)
+    perm = rng.sample(range(n), n)
+    ends = [sorted((rng.randrange(n), rng.randrange(n))) for _ in range(rng.randint(0, 2 * n))]
+    pairs = [(perm[i], perm[j]) for i, j in ends]
+    if pairs and rng.random() < 0.3:
+        a, b = rng.choice(pairs)
+        pairs.insert(rng.randint(0, len(pairs)), (b, a))
+    return n, pairs
+
+
+def outcome(build):
+    try:
+        return build()
+    except AntisymmetryBroken as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def test_closure_matches_warshall_on_random_pairs():
+    rng = random.Random(24)
+    cyclic = 0
+    for _ in range(400):
+        n, pairs = random_pairs(rng)
+        rows = warshall_rows(n, pairs)
+        start = [1 << i for i in range(n)]
+        for a, b in pairs:
+            start[a] |= 1 << b
+        assert _closure(start) == rows, (n, pairs)
+        expected = outcome(lambda: Poset(rows))
+        assert outcome(lambda: Poset.from_pairs(n, pairs)) == expected, (n, pairs)
+        cyclic += isinstance(expected, tuple)
+    assert 20 < cyclic < 380
+
+
+def test_closure_of_long_chains_and_cycles():
+    assert _closure([]) == []
+    n = 300
+    chain = [(i, i + 1) for i in range(n - 1)]
+    assert _closure([1 << i for i in range(n)]) == [1 << i for i in range(n)]
+    assert Poset.from_pairs(n, chain) == Poset(warshall_rows(n, chain))
+    rows = [1 << i | 1 << (i + 1) % n for i in range(n)]
+    assert _closure(rows) == [(1 << n) - 1] * n
+    with pytest.raises(AntisymmetryBroken, match="^0 <= 1 and 1 <= 0$"):
+        Poset.from_pairs(n, chain + [(n - 1, 0)])
 
 
 @pytest.mark.parametrize(
