@@ -9,7 +9,10 @@ so the exhaustive search below decides embeddability questions.
 The search assigns images to minimal elements first; the involution then
 forces the images of their partners, which halves the branching on spaces
 of height at most 1.  The scan is in lexicographic order with a
-configurable node budget, so verdicts and witnesses are deterministic.
+configurable node budget, so verdicts and witnesses are deterministic.  Its
+state is a partial map and the mask of the targets used so far, handed down
+the recursion; the candidate masks of each point are handed in, built once
+by ``_candidates`` (and narrowed by point key for the isomorphism test).
 Pruning never removes the lexicographically first witness:
 
 * two static candidate filters drawn from the minimal-element condition:
@@ -22,8 +25,10 @@ Pruning never removes the lexicographically first witness:
   all unused, the swap fixes every value used so far and turns a witness
   with ``x -> t'`` into one with ``x -> t``, so ``t'`` is not tried (Van
   Hentenryck, Flener, Pearson & Agren 2003, "Tractable symmetry breaking
-  for CSPs with interchangeable values").  Automorphisms keep the point
-  signatures of the isomorphism test, so the argument holds there too.
+  for CSPs with interchangeable values").  Twins are looked for only among
+  points with the same key (up and down sizes, whether fixed, below or
+  above the partner); the isomorphism test matches points by that key too,
+  and automorphisms keep it, so the argument holds there as well.
 
 The minimal-element condition is verified in full at the leaves by the same
 validator used for standalone checking.
@@ -129,6 +134,9 @@ class _Tables(NamedTuple):
     min_count: tuple[int, ...]
     #: ``at_most[k]``: mask of the points with at most ``k`` minimals below
     at_most: tuple[int, ...]
+    #: ``key[t]``: up size, down size, fixed, below partner, above partner;
+    #: every automorphism commuting with zeta, and every isomorphism, keeps it
+    key: tuple[tuple[int, int, bool, int, int], ...]
     #: ``twin[t]``: the least twin of ``t``, the representative of its class
     #: (``t`` itself when no twin is smaller)
     twin: tuple[int, ...]
@@ -162,18 +170,17 @@ def _is_twin_swap(space: Space, t: int, u: int) -> bool:
 
 @lru_cache(maxsize=_TABLES_CACHE_SIZE)
 def _search_tables(space: Space) -> _Tables:
-    """The candidate filters and the twins of every point of ``space``.
+    """The candidate filters, the key and the twins of every point of ``space``.
 
     Cached per space, which is sound because spaces are immutable.  Being
     twins is an equivalence, so each point is tested against the
-    representatives found so far, and only against those that agree with it
-    on the sizes of their up and down rows and on how they compare with
-    their partner, which every automorphism commuting with zeta preserves.
+    representatives found so far, and only against those with the same key.
     """
     p, zeta = space.poset, space.zeta
     minimals = p.minimals_mask()
     below_partner = 0
     min_count = []
+    keys = []
     groups: dict[tuple, list[int]] = {}
     for t in range(space.n):
         up, down, zt = p.up_mask(t), p.down_mask(t), zeta[t]
@@ -181,6 +188,7 @@ def _search_tables(space: Space) -> _Tables:
             below_partner |= 1 << t
         min_count.append((down & minimals).bit_count())
         key = (up.bit_count(), down.bit_count(), zt == t, up >> zt & 1, down >> zt & 1)
+        keys.append(key)
         groups.setdefault(key, []).append(t)
     at_most = [0] * (max(min_count, default=0) + 1)
     for t, k in enumerate(min_count):
@@ -194,47 +202,52 @@ def _search_tables(space: Space) -> _Tables:
             twin[u] = next((r for r in reps if _is_twin_swap(space, r, u)), u)
             if twin[u] == u:
                 reps.append(u)
-    return _Tables(below_partner, tuple(min_count), tuple(at_most), tuple(twin))
+    return _Tables(below_partner, tuple(min_count), tuple(at_most), tuple(keys), tuple(twin))
+
+
+def _candidates(src: Space, dst: Space) -> list[int]:
+    """``cand[x]``: the mask of the targets the search may try for ``x``."""
+    sp, dp = src.poset, dst.poset
+    src_min, src_max = sp.minimals_mask(), sp.maximals_mask()
+    dst_min, dst_max = dp.minimals_mask(), dp.maximals_mask()
+    src_tables, dst_tables = _search_tables(src), _search_tables(dst)
+    at_most, below_partner = dst_tables.at_most, dst_tables.below_partner
+    cand = []
+    for x in range(src.n):
+        c = dp.all_mask
+        if (src_min >> x) & 1:
+            c &= dst_min
+        if (src_max >> x) & 1:
+            c &= dst_max
+        # x <= zeta(x) forces phi(x) <= zeta(phi(x)), and every minimal
+        # below phi(x) is the image of one below x.
+        if (src_tables.below_partner >> x) & 1:
+            c &= below_partner
+        k = src_tables.min_count[x]
+        if k < len(at_most):
+            c &= at_most[k]
+        cand.append(c)
+    return cand
 
 
 class _Search:
-    """Backtracking core of the surjective search and the isomorphism test."""
+    """Backtracking core of the surjective search and the isomorphism test,
+    over the candidate masks ``cand`` it is given."""
 
-    def __init__(self, src: Space, dst: Space, budget: int):
+    def __init__(self, src: Space, dst: Space, cand: list[int], budget: int):
         self.src = src
         self.dst = dst
+        self.cand = cand
         self.budget = budget
         self.nodes = 0
         self.deepest = 0
-        sp, dp = src.poset, dst.poset
-        src_min, src_max = sp.minimals_mask(), sp.maximals_mask()
-        dst_min, dst_max = dp.minimals_mask(), dp.maximals_mask()
-        src_tables, dst_tables = _search_tables(src), _search_tables(dst)
-        at_most, below_partner = dst_tables.at_most, dst_tables.below_partner
-        self.cand = []
-        for x in range(src.n):
-            c = dp.all_mask
-            if (src_min >> x) & 1:
-                c &= dst_min
-            if (src_max >> x) & 1:
-                c &= dst_max
-            # x <= zeta(x) forces phi(x) <= zeta(phi(x)), and every minimal
-            # below phi(x) is the image of one below x.
-            if (src_tables.below_partner >> x) & 1:
-                c &= below_partner
-            k = src_tables.min_count[x]
-            if k < len(at_most):
-                c &= at_most[k]
-            self.cand.append(c)
-        self.twin = dst_tables.twin
+        self.twin = _search_tables(dst).twin
         # Minimal elements first: their partners' images come for free.
-        minimals = sorted(iter_bits(src_min))
+        minimals = sorted(iter_bits(src.poset.minimals_mask()))
         rest = sorted(set(range(src.n)) - set(minimals))
         self.order = minimals + rest
         self.mapping = [-1] * src.n
         self.assigned: list[int] = []
-        self.covered = [0] * dst.n
-        self.covered_count = 0
         self.witness: Optional[tuple[int, ...]] = None
 
     def _consistent(self, x: int, t: int) -> bool:
@@ -247,53 +260,31 @@ class _Search:
                 return False
         return True
 
-    def _twin_free(self, t: int, tz: int, r: int) -> bool:
-        """True when ``t``, its representative twin ``r`` and their partners
-        are all unused, so ``r`` is tried in place of ``t``."""
-        covered = self.covered
-        return not (covered[t] or covered[tz] or covered[r] or covered[self.dst.zeta[r]])
-
-    def _place(self, x: int, t: int) -> bool:
-        self.mapping[x] = t
-        self.assigned.append(x)
-        self.covered[t] += 1
-        if self.covered[t] == 1:
-            self.covered_count += 1
-        return True
-
-    def _remove(self, x: int) -> None:
-        t = self.mapping[x]
-        self.covered[t] -= 1
-        if self.covered[t] == 0:
-            self.covered_count -= 1
-        self.assigned.pop()
-        self.mapping[x] = -1
-
-    def _leaf_ok(self) -> bool:
-        if self.covered_count != self.dst.n:
-            return False
-        return check_pm_morphism(self.src, self.dst, tuple(self.mapping)).ok
-
     def run(self) -> bool:
-        return self._extend(0)
+        return self._extend(0, 0)
 
-    def _extend(self, pos: int) -> bool:
+    def _extend(self, pos: int, used: int) -> bool:
+        """Extend the partial map from ``order[pos]`` on; ``used`` is the
+        mask of the targets it hits so far."""
         n = self.src.n
         while pos < n and self.mapping[self.order[pos]] >= 0:
             pos += 1
         if len(self.assigned) > self.deepest:
             self.deepest = len(self.assigned)
         if pos == n:
-            if self._leaf_ok():
+            if used == self.dst.poset.all_mask and check_pm_morphism(
+                self.src, self.dst, self.mapping
+            ).ok:
                 self.witness = tuple(self.mapping)
                 return True
             return False
         x = self.order[pos]
         zx = self.src.zeta[x]
+        dst_zeta = self.dst.zeta
         for t in iter_bits(self.cand[x]):
-            tz = self.dst.zeta[t]
+            tz = dst_zeta[t]
             r = self.twin[t]
-            if r != t and self._twin_free(t, tz, r):
+            if r != t and not used & (1 << t | 1 << tz | 1 << r | 1 << dst_zeta[r]):
                 continue  # not an attempt: r stands for t
             self.nodes += 1
             if self.nodes > self.budget:
@@ -305,21 +296,22 @@ class _Search:
                 continue
             if not self._consistent(x, t):
                 continue
-            self._place(x, t)
-            forced = False
-            if zx != x:
-                if not (self.cand[zx] >> tz) & 1 or not self._consistent(zx, tz):
-                    self._remove(x)
-                    continue
-                self._place(zx, tz)
-                forced = True
-            # Every remaining unassigned element covers at most one new target.
-            remaining = self.src.n - len(self.assigned)
-            if self.dst.n - self.covered_count <= remaining and self._extend(pos + 1):
-                return True
-            if forced:
-                self._remove(zx)
-            self._remove(x)
+            self.mapping[x] = t
+            self.assigned.append(x)
+            if zx == x or ((self.cand[zx] >> tz) & 1 and self._consistent(zx, tz)):
+                if zx != x:
+                    self.mapping[zx] = tz
+                    self.assigned.append(zx)
+                child = used | 1 << t | 1 << tz
+                # Every remaining unassigned element covers at most one new target.
+                remaining = n - len(self.assigned)
+                if self.dst.n - child.bit_count() <= remaining and self._extend(pos + 1, child):
+                    return True
+                if zx != x:
+                    self.mapping[zx] = -1
+                    self.assigned.pop()
+            self.mapping[x] = -1
+            self.assigned.pop()
         return False
 
 
@@ -328,61 +320,40 @@ def search_surjective(src: Space, dst: Space, budget: int = DEFAULT_BUDGET) -> S
     check_natural(budget, "budget")
     if dst.n > src.n:
         return SearchReport(False, None, 0)
-    if dst.n == 0:
-        if src.n == 0:
-            return SearchReport(True, MorphismMap(src, dst, ()), 0)
-        return SearchReport(False, None, 0)
-    search = _Search(src, dst, budget)
+    search = _Search(src, dst, _candidates(src, dst), budget)
     found = search.run()
-    witness = (
-        MorphismMap(src, dst, search.witness) if found and search.witness else None
-    )
+    witness = MorphismMap(src, dst, search.witness) if search.witness is not None else None
     return SearchReport(found, witness, search.nodes)
-
-
-def _iso_signature(space: Space, x: int):
-    p = space.poset
-    return (
-        p.down_mask(x).bit_count(),
-        p.up_mask(x).bit_count(),
-        space.zeta[x] == x,
-        bool((p.up_mask(x) | p.down_mask(x)) >> space.zeta[x] & 1),
-    )
 
 
 def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
     """True when some structure map is a bijection whose inverse is also a
     structure map.
 
-    After a size, point-signature and height prefilter this is the
-    surjective search restricted to signature-matching candidates; between
-    spaces of equal size its coverage bound admits only bijections.
+    After a size, point-key and height prefilter this is the surjective
+    search restricted to key-matching candidates; between spaces of equal
+    size its coverage bound admits only bijections.
     """
     check_natural(budget, "budget")
     if a.n != b.n:
         return False
-    if a.n == 0:
-        return True
-    sig_a = [_iso_signature(a, x) for x in range(a.n)]
-    sig_b = [_iso_signature(b, t) for t in range(b.n)]
-    if sorted(sig_a) != sorted(sig_b):
+    key_a, key_b = _search_tables(a).key, _search_tables(b).key
+    if sorted(key_a) != sorted(key_b):
         return False
     if a.poset.height() != b.poset.height():
         return False
-    search = _Search(a, b, budget)
-    # Refine candidates: identical point signatures only.
-    with_sig = {}
-    for t, sig in enumerate(sig_b):
-        with_sig[sig] = with_sig.get(sig, 0) | 1 << t
-    for x in range(a.n):
-        search.cand[x] &= with_sig[sig_a[x]]
+    # Refine candidates: identical point keys only.
+    with_key: dict[tuple, int] = {}
+    for t, key in enumerate(key_b):
+        with_key[key] = with_key.get(key, 0) | 1 << t
+    cand = [c & with_key[key_a[x]] for x, c in enumerate(_candidates(a, b))]
     # Any structure map phi the search finds now is an isomorphism.  Being
     # order preserving and a bijection, phi sends down(x) into down(phi x), so
-    # |down(phi x)| >= |down x| for every x.  The signatures give both spaces
-    # the same sorted down-set sizes, so the two sums are equal and each
+    # |down(phi x)| >= |down x| for every x.  The keys give both spaces the
+    # same sorted down-set sizes, so the two sums are equal and each
     # inequality is an equality: phi(down x) = down(phi x).  Hence phi also
     # reflects the order, and its inverse is a structure map.
-    return search.run()
+    return _Search(a, b, cand, budget).run()
 
 
 # -- specialised criteria for the two-level bipartite family -----------------

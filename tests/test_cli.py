@@ -232,7 +232,7 @@ def test_congruences_past_the_limit_is_a_size_error(tmp_path, capsys):
 
 
 def test_congruences_list_no_downsets(capsys):
-    """q6:0,21 has 2**21 + 1 downsets, past the limit, but 42 points and two
+    """q6:0,21 has 2**22 - 1 downsets, past the limit, but 42 points and two
     congruence sets: the sets are read off the space alone."""
     code, out, err = run(capsys, "congruences", "q6:0,21")
     assert code == 0 and err == ""
@@ -241,7 +241,7 @@ def test_congruences_list_no_downsets(capsys):
 
 def test_kind_prints_nothing_when_it_fails(tmp_path, capsys):
     """Beside the three-chain, of height 2, the range of q6:0,21 needs all
-    4 * (2**21 + 1) downsets of the union; the report fails whole, with no
+    4 * (2**22 - 1) downsets of the union; the report fails whole, with no
     partial lines before the error."""
     path = tmp_path / "chain3-q6.json"
     path.write_text(format_space(disjoint_union(nonregular_chain3(), q6(0, 21))))
@@ -252,7 +252,7 @@ def test_kind_prints_nothing_when_it_fails(tmp_path, capsys):
 
 def test_kind_reads_the_range_of_a_regular_space_off_its_width(capsys):
     """q6:0,21 is regular, so its range is its zeta-width and none of its
-    2**21 + 1 downsets is listed."""
+    2**22 - 1 downsets is listed."""
     code, out, err = run(capsys, "kind", "q6:0,21")
     assert code == 0 and err == ""
     assert out.splitlines() == ["regular: true", "kleene: true", "width: 1", "range: 1"]
@@ -260,7 +260,7 @@ def test_kind_reads_the_range_of_a_regular_space_off_its_width(capsys):
 
 def test_subalg_lists_no_downsets(capsys):
     """The closure of one minimal singleton in q6:0,21 runs on the space
-    alone, past the 2**21 + 1 downsets of its algebra."""
+    alone, past the 2**22 - 1 downsets of its algebra."""
     code, out, err = run(capsys, "subalg", "q6:0,21", "--gens", "s0")
     assert code == 0 and err == ""
     assert out.splitlines()[0] == "size: 7"

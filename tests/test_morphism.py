@@ -15,6 +15,7 @@ from pmkit import (
     is_pm_isomorphic,
     search_surjective,
 )
+from pmkit.cli import main as cli_main
 from pmkit.errors import BadParams, IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
 from pmkit.morphism import Q6CriteriaReport, _search_tables, q6_params_of
 from pmkit.order import iter_bits
@@ -222,6 +223,35 @@ def test_pruning_bounds_negative_searches(src, dst, bound):
     report = search_surjective(src, dst)
     assert not report.found
     assert report.nodes_explored <= bound
+
+
+def test_search_node_counts_are_pinned(capsys):
+    """Exact node counts: a change to the search's bookkeeping that keeps
+    its branching must keep every one of them."""
+    for m, n, found, nodes in [(4, 3, False, 2_307), (5, 4, False, 38_488), (5, 5, True, 55)]:
+        report = search_surjective(catalog.crown_pair(m), catalog.crown_pair(n))
+        assert (report.found, report.nodes_explored) == (found, nodes), (m, n)
+    assert search_surjective(catalog.q6(7, 7), catalog.q6(3, 7)).nodes_explored == 22
+    spaces = [catalog.q6(m, n) for n in range(3, 7) for m in range(n + 1)]
+    assert len(spaces) ** 2 == 484
+    total = sum(
+        search_surjective(src, dst).nodes_explored
+        for src, dst in itertools.product(spaces, repeat=2)
+    )
+    assert total == 27_871
+    # the count the README quotes
+    assert cli_main(["morphism", "crown:4", "crown:3"]) == 1
+    assert "nodes: 2307" in capsys.readouterr().out.splitlines()
+
+
+def test_search_on_empty_spaces():
+    empty = Space(Poset.antichain(0), ())
+    report = search_surjective(empty, empty)
+    assert report.found and report.witness.mapping == () and report.nodes_explored == 0
+    report = search_surjective(catalog.crown_pair(2), empty)
+    assert (report.found, report.witness, report.nodes_explored) == (False, None, 0)
+    assert is_pm_isomorphic(empty, empty)
+    assert not is_pm_isomorphic(empty, catalog.nonregular_chain3())
 
 
 @pytest.mark.parametrize("budget", [-3, 1.5, True, "10", None])

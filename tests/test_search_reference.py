@@ -2,9 +2,12 @@
 was before its candidate filters and twin pruning.
 
 ``ReferenceSearch`` is that search, kept here as the oracle: no static
-filters, no twins.  Pruning may only drop branches that hold no first
-witness, so both searches must give the same verdict, the same witness, and
-the pruned one no more nodes.
+filters, no twins, coverage kept as a count per target.  Pruning may only
+drop branches that hold no first witness, so both searches must give the
+same verdict, the same witness, and the pruned one no more nodes.  The
+reference isomorphism test keeps its own copy of the old point signature,
+coarser than the key the library matches points by; the two must agree on
+every verdict.
 """
 
 import itertools
@@ -15,7 +18,7 @@ import pytest
 from pmkit import Poset, Space, catalog, check_pm_morphism, is_pm_isomorphic, search_surjective
 from pmkit.acceptance import catalog_spaces
 from pmkit.errors import SearchBudgetExceeded
-from pmkit.morphism import DEFAULT_BUDGET, _iso_signature
+from pmkit.morphism import DEFAULT_BUDGET
 from pmkit.order import iter_bits
 
 
@@ -128,14 +131,25 @@ def reference_search(src, dst, budget=DEFAULT_BUDGET):
     return found, search.witness if found else None, search.nodes
 
 
+def reference_signature(space, x):
+    """Down size, up size, fixed, and comparable with the partner."""
+    p = space.poset
+    return (
+        p.down_mask(x).bit_count(),
+        p.up_mask(x).bit_count(),
+        space.zeta[x] == x,
+        bool((p.up_mask(x) | p.down_mask(x)) >> space.zeta[x] & 1),
+    )
+
+
 def reference_is_pm_isomorphic(a, b, budget=DEFAULT_BUDGET):
     """The isomorphism test run on the reference search."""
     if a.n != b.n:
         return False
     if a.n == 0:
         return True
-    sig_a = [_iso_signature(a, x) for x in range(a.n)]
-    sig_b = [_iso_signature(b, t) for t in range(b.n)]
+    sig_a = [reference_signature(a, x) for x in range(a.n)]
+    sig_b = [reference_signature(b, t) for t in range(b.n)]
     if sorted(sig_a) != sorted(sig_b) or a.poset.height() != b.poset.height():
         return False
     search = ReferenceSearch(a, b, budget)
@@ -228,3 +242,36 @@ def test_iso_matches_reference_on_relabelled_q6_and_crowns():
                 continue
             b = relabel(b, rng.sample(range(b.n), b.n))
             assert is_pm_isomorphic(a, b) == reference_is_pm_isomorphic(a, b), (a, b)
+
+
+def test_search_and_iso_match_reference_on_random_pm_spaces(random_pm_space):
+    """Random orders with fixed points and height >= 2, which the catalog
+    pairs above barely reach."""
+    rng = random.Random(17)
+    spaces = [random_pm_space(rng) for _ in range(100)]
+    assert any(s.poset.height() >= 2 for s in spaces)
+    assert any(s.zeta[x] == x for s in spaces for x in range(s.n))
+    for i in range(0, len(spaces), 2):
+        a, b = spaces[i], spaces[i + 1]
+        src, dst = (a, b) if a.n >= b.n else (b, a)
+        assert_same_search(src, dst, i)
+        assert_same_search(src, relabel(src, rng.sample(range(src.n), src.n)), i)
+    for a in spaces[:50]:
+        for b in (a, rng.choice(spaces)):
+            other = relabel(b, rng.sample(range(b.n), b.n))
+            assert is_pm_isomorphic(a, other) == reference_is_pm_isomorphic(a, other), (a, other)
+
+
+def test_iso_and_search_interleaved_give_the_same_reports(random_pm_space):
+    """Both entry points read the tables cached per space; asking them in
+    turn on the same space objects must repeat every answer exactly."""
+    rng = random.Random(23)
+    spaces = [random_pm_space(rng) for _ in range(12)] + [catalog.crown_pair(3), catalog.q6(2, 4)]
+    pairs = [(a, b) for a, b in itertools.product(spaces, repeat=2) if a.n >= b.n]
+    first = [search_surjective(a, b) for a, b in pairs]
+    iso = [is_pm_isomorphic(a, b) for a, b in pairs]
+    for (a, b), report, same in zip(pairs, first, iso):
+        assert is_pm_isomorphic(a, b) == same
+        assert search_surjective(a, b) == report
+        assert is_pm_isomorphic(b, a) == same
+        assert search_surjective(a, b) == report
