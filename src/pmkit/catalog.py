@@ -22,6 +22,11 @@ Each family is read off one symmetric relation, "minimal ``i`` lies below
   ``zeta(b_j)``, and the mixed relations hold exactly when the indices
   differ.
 
+Each family returns one shared instance per parameter set while in use:
+valid parameters are looked up in a weak dictionary keyed by the family and
+the parameters, so caches keyed by space (the search tables, the q6 shape)
+hit by identity across calls.  A space lives as long as something holds it.
+
 ``named_space`` resolves a catalog token to a space and its element names.
 The parametrised families are read off one token table, ``FAMILIES``,
 which maps ``q6``, ``grid`` and ``crown`` to the constructor, its arity, the
@@ -29,6 +34,8 @@ name prefix of each block of points and the usage text of its errors.
 """
 
 from __future__ import annotations
+
+import weakref
 
 from .errors import (
     BadParams,
@@ -41,11 +48,30 @@ from .order import Poset, canonical_sort
 from .space import Space
 
 
+#: The shared spaces, keyed by ``(family, *params)`` with validated params.
+_SHARED: weakref.WeakValueDictionary[tuple, Space] = weakref.WeakValueDictionary()
+
+
+def _shared(key: tuple, build, *args) -> Space:
+    """The live space under ``key``, or ``build(*args)`` stored under it.
+    Callers validate the parameters first: ``1 == 1.0 == True`` as keys."""
+    space = _SHARED.get(key)
+    if space is None:
+        space = _SHARED[key] = build(*args)
+    return space
+
+
 def q(i: int) -> Space:
     """The six small spaces: a fixed point, a swapped pair, a two-chain,
     two swapped two-chains, and the two four-element crowns (with and
     without one missing diagonal relation)."""
     check_natural(i, "i")
+    if i > 5:
+        raise IndexOutOfRange(f"q(i) requires 0 <= i <= 5, got {i}")
+    return _shared(("q", i), _small, i)
+
+
+def _small(i: int) -> Space:
     if i == 0:
         return Space(Poset.antichain(1), (0,))
     if i == 1:
@@ -59,12 +85,8 @@ def q(i: int) -> Space:
         # minimals 0, 1; maximals 2 = zeta(0), 3 = zeta(1); 0 is not below
         # its own image.
         return Space(Poset.from_pairs(4, [(0, 3), (1, 2), (1, 3)]), (2, 3, 0, 1))
-    if i == 5:
-        # full bipartite relation between {0, 1} and their images.
-        return Space(
-            Poset.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), (2, 3, 0, 1)
-        )
-    raise IndexOutOfRange(f"q(i) requires 0 <= i <= 5, got {i}")
+    # full bipartite relation between {0, 1} and their images.
+    return Space(Poset.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), (2, 3, 0, 1))
 
 
 def _two_level(k: int, below) -> Space:
@@ -83,7 +105,7 @@ def q6(m: int, n: int) -> Space:
     check_natural(n, "n")
     if n < 3 or not 0 <= m <= n:
         raise BadParams(f"q6 requires n >= 3 and 0 <= m <= n, got ({m}, {n})")
-    return _two_level(n, lambda i, j: i != j or i >= m)
+    return _shared(("q6", m, n), _two_level, n, lambda i, j: i != j or i >= m)
 
 
 def range2_grid(n: int) -> Space:
@@ -91,7 +113,7 @@ def range2_grid(n: int) -> Space:
     check_natural(n, "n")
     if n < 5:
         raise BadParams(f"range2_grid requires n >= 5, got {n}")
-    return _two_level(n, lambda i, j: abs(i - j) != 1)
+    return _shared(("range2_grid", n), _two_level, n, lambda i, j: abs(i - j) != 1)
 
 
 def crown_pair(n: int) -> Space:
@@ -99,12 +121,17 @@ def crown_pair(n: int) -> Space:
     check_natural(n, "n")
     if n < 2:
         raise BadParams(f"crown_pair requires n >= 2, got {n}")
-    return _two_level(2 * n, lambda i, j: (i < n) == (j < n) or i % n != j % n)
+    return _shared(
+        ("crown_pair", n),
+        _two_level,
+        2 * n,
+        lambda i, j: (i < n) == (j < n) or i % n != j % n,
+    )
 
 
 def nonregular_chain3() -> Space:
     """Three-chain with the endpoints swapped: a valid space of height 2."""
-    return Space(Poset.chain(3), (2, 1, 0))
+    return _shared(("nonregular_chain3",), lambda: Space(Poset.chain(3), (2, 1, 0)))
 
 
 def disjoint_union(a: Space, b: Space) -> Space:

@@ -3,8 +3,9 @@
 Spaces are addressed either by catalog token (``q0`` .. ``q5``, ``q6:m,n``,
 ``grid:n``, ``crown:n``, ``chain3``) or by the path of a JSON space
 document.  Reports are line-oriented ``key: value`` text, with DOT blocks
-for lattice output.  Exit codes: 0 for a true verdict or plain success, 1
-for a false verdict, 2 for usage or validation errors.
+for lattice output; ``verify-paper --json`` prints a JSON list instead.
+Exit codes: 0 for a true verdict or plain success, 1 for a false verdict,
+2 for usage or validation errors.
 
 The environment variable ``PMKIT_BUDGET`` overrides the search node budget.
 """
@@ -12,6 +13,8 @@ The environment variable ``PMKIT_BUDGET`` overrides the search node budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 from pathlib import Path
@@ -212,12 +215,14 @@ def cmd_grow(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     results = acceptance.run_all(_budget())
-    failed = 0
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"criterion {r.number:2d} {status} {r.title} ({r.detail})")
-        failed += 0 if r.ok else 1
-    print(f"summary: {len(results) - failed}/{len(results)} passed")
+    failed = sum(not r.ok for r in results)
+    if args.json:
+        print(json.dumps([dataclasses.asdict(r) for r in results], indent=2))
+    else:
+        for r in results:
+            status = "PASS" if r.ok else "FAIL"
+            print(f"criterion {r.number:2d} {status} {r.title} ({r.detail})")
+        print(f"summary: {len(results) - failed}/{len(results)} passed")
     return OK if failed == 0 else FALSE
 
 
@@ -287,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_grow)
 
     p = sub.add_parser("verify-paper", help="run the built-in verification suite")
+    p.add_argument("--json", action="store_true",
+                   help="print number, title, ok, detail and seconds per criterion")
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -265,16 +265,16 @@ class _Search:
 
     def _extend(self, pos: int, used: int) -> bool:
         """Extend the partial map from ``order[pos]`` on; ``used`` is the
-        mask of the targets it hits so far."""
+        mask of the targets it hits so far.  Every step places ``x`` and
+        ``zeta(x)`` together, so ``used`` is closed under zeta, and the
+        coverage bound checked before each descent makes it full at a leaf."""
         n = self.src.n
         while pos < n and self.mapping[self.order[pos]] >= 0:
             pos += 1
         if len(self.assigned) > self.deepest:
             self.deepest = len(self.assigned)
         if pos == n:
-            if used == self.dst.poset.all_mask and check_pm_morphism(
-                self.src, self.dst, self.mapping
-            ).ok:
+            if check_pm_morphism(self.src, self.dst, self.mapping).ok:
                 self.witness = tuple(self.mapping)
                 return True
             return False
@@ -284,7 +284,7 @@ class _Search:
         for t in iter_bits(self.cand[x]):
             tz = dst_zeta[t]
             r = self.twin[t]
-            if r != t and not used & (1 << t | 1 << tz | 1 << r | 1 << dst_zeta[r]):
+            if r != t and not used & (1 << t | 1 << r):
                 continue  # not an attempt: r stands for t
             self.nodes += 1
             if self.nodes > self.budget:
@@ -403,8 +403,7 @@ def q6_params_of(space: Space) -> tuple[int, int, frozenset[int]]:
     return exceptions.bit_count(), n, frozenset(iter_bits(exceptions))
 
 
-@dataclass(frozen=True)
-class Q6CriteriaReport:
+class Q6CriteriaReport(NamedTuple):
     """Per-clause verdicts of the surjectivity criteria for q6-shaped maps."""
 
     level_onto_and_equivariant: bool
@@ -414,12 +413,7 @@ class Q6CriteriaReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.level_onto_and_equivariant
-            and self.exception_preimage_inside
-            and self.injective_on_exception_preimage
-            and self.collapsed_exceptions_witnessed
-        )
+        return all(self)
 
 
 def check_q6_criteria(src: Space, dst: Space, mapping: Sequence[int]) -> Q6CriteriaReport:

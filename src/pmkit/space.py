@@ -34,7 +34,7 @@ class SpaceKind:
 class Space:
     """A finite poset with an involution ``zeta`` that reverses the order."""
 
-    __slots__ = ("poset", "zeta", "_zeta_bits", "_hash")
+    __slots__ = ("poset", "zeta", "_zeta_bits", "_hash", "__weakref__")
 
     def __init__(self, poset: Poset, zeta: Sequence[int]):
         zeta = tuple(zeta)
@@ -74,8 +74,11 @@ class Space:
         return self.poset.n
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Space)
+            and self._hash == other._hash
             and self.zeta == other.zeta
             and self.poset == other.poset
         )

@@ -49,3 +49,25 @@ def test_expected_lines_match_the_benchmark_copy():
     gate_expected = Path(__file__).resolve().parents[1] / "perfbench" / "gate_expected.txt"
     lines = EXPECTED_LINES + ["summary: 14/14 passed"]
     assert gate_expected.read_text() == "\n".join(lines) + "\n"
+
+
+def test_criterion_14_checks_every_map(monkeypatch):
+    """Criterion 14 evaluates the clauses on every one of its maps and the
+    full check on every surjective one, so no speed-up can skip a map."""
+    calls = {"criteria": 0, "full": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        acceptance, "check_q6_criteria", counted("criteria", acceptance.check_q6_criteria)
+    )
+    monkeypatch.setattr(
+        acceptance, "check_pm_morphism", counted("full", acceptance.check_pm_morphism)
+    )
+    assert acceptance.criterion_q6_criteria_equivalence() == (True, "142016 equivariant maps")
+    assert calls == {"criteria": 142016, "full": 21888}

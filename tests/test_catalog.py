@@ -1,6 +1,8 @@
 """Catalog constructors: validity, documented invariants, parameter errors."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -35,31 +37,66 @@ def test_q_index_range():
         catalog.q(6)
 
 
-@pytest.mark.parametrize(
-    "build, args, message",
-    [
-        (catalog.q6, (1.0, 4.0), "m must be a natural number, got 1.0"),
-        (catalog.q6, (1, 4.0), "n must be a natural number, got 4.0"),
-        (catalog.q6, (True, 3), "m must be a natural number, got True"),
-        (catalog.q6, (-1, 4), "m must be a natural number, got -1"),
-        (catalog.range2_grid, (5.5,), "n must be a natural number, got 5.5"),
-        (catalog.range2_grid, ("6",), "n must be a natural number, got '6'"),
-        (catalog.crown_pair, (2.0,), "n must be a natural number, got 2.0"),
-        (catalog.crown_pair, (None,), "n must be a natural number, got None"),
-        (catalog.q, (1.0,), "i must be a natural number, got 1.0"),
-        (catalog.q, (False,), "i must be a natural number, got False"),
-        (one_generator_growth, (6.0,), "n must be a natural number, got 6.0"),
-        (catalog.q6, (1, 2), "q6 requires n >= 3 and 0 <= m <= n, got (1, 2)"),
-        (catalog.range2_grid, (4,), "range2_grid requires n >= 5, got 4"),
-        (catalog.crown_pair, (1,), "crown_pair requires n >= 2, got 1"),
-    ],
-)
+BAD_PARAMS = [
+    (catalog.q6, (1.0, 4.0), "m must be a natural number, got 1.0"),
+    (catalog.q6, (1, 4.0), "n must be a natural number, got 4.0"),
+    (catalog.q6, (True, 3), "m must be a natural number, got True"),
+    (catalog.q6, (-1, 4), "m must be a natural number, got -1"),
+    (catalog.range2_grid, (5.5,), "n must be a natural number, got 5.5"),
+    (catalog.range2_grid, ("6",), "n must be a natural number, got '6'"),
+    (catalog.crown_pair, (2.0,), "n must be a natural number, got 2.0"),
+    (catalog.crown_pair, (None,), "n must be a natural number, got None"),
+    (catalog.q, (1.0,), "i must be a natural number, got 1.0"),
+    (catalog.q, (False,), "i must be a natural number, got False"),
+    (one_generator_growth, (6.0,), "n must be a natural number, got 6.0"),
+    (catalog.q6, (1, 2), "q6 requires n >= 3 and 0 <= m <= n, got (1, 2)"),
+    (catalog.range2_grid, (4,), "range2_grid requires n >= 5, got 4"),
+    (catalog.crown_pair, (1,), "crown_pair requires n >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("build, args, message", BAD_PARAMS)
 def test_family_parameters_must_be_natural(build, args, message):
     """Non-natural parameters are rejected before the range checks, whose
     messages stay as they were."""
     with pytest.raises(BadParams) as caught:
         build(*args)
     assert str(caught.value) == message
+
+
+def test_families_share_one_space_per_valid_parameter_set():
+    """Each family hands out one instance per parameter set, and only after
+    validation: ``1 == 1.0 == True`` as dictionary keys, so with the int
+    spaces built first every bad case above must still raise its message."""
+    alive = [
+        catalog.q6(1, 4), catalog.q6(1, 3), catalog.q6(2, 4),
+        catalog.range2_grid(5), catalog.range2_grid(6), catalog.crown_pair(2),
+        catalog.q(0), catalog.q(1), catalog.nonregular_chain3(),
+    ]
+    assert one_generator_growth(6) == 145
+    for build, args, message in BAD_PARAMS:
+        with pytest.raises(BadParams) as caught:
+            build(*args)
+        assert str(caught.value) == message
+    for build, args in [
+        (catalog.q6, (2, 4)),
+        (catalog.range2_grid, (5,)),
+        (catalog.crown_pair, (2,)),
+        (catalog.q, (1,)),
+        (catalog.nonregular_chain3, ()),
+    ]:
+        assert build(*args) is build(*args)
+        assert any(build(*args) is space for space in alive)
+    assert catalog.q6(1, 4) is not catalog.q6(2, 4)
+
+
+def test_shared_spaces_are_not_kept_alive_by_the_catalog():
+    """Sharing holds spaces weakly: one nobody holds is freed."""
+    space = catalog.q6(7, 13)
+    ref = weakref.ref(space)
+    del space
+    gc.collect()
+    assert ref() is None
 
 
 def test_q_kleene_split():

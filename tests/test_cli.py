@@ -1,6 +1,7 @@
 """The command-line interface: verdict exit codes and report shapes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -335,3 +336,52 @@ def test_verify_paper_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 1
     assert "FAIL" in out
+
+
+def _gate_stubs():
+    """The real criterion titles, each answering the detail that
+    ``perfbench/gate_expected.txt`` holds for it, and that file's text."""
+    from pmkit import acceptance
+
+    expected = (Path(__file__).resolve().parents[1] / "perfbench" / "gate_expected.txt").read_text()
+    stubs = []
+    for i, ((title, _), line) in enumerate(zip(acceptance.CRITERIA, expected.splitlines()), 1):
+        prefix = f"criterion {i:2d} PASS {title} ("
+        assert line.startswith(prefix) and line.endswith(")")
+        stubs.append((title, lambda budget, detail=line[len(prefix):-1]: (True, detail)))
+    return stubs, expected
+
+
+def test_verify_paper_text_matches_the_gate(capsys, monkeypatch):
+    """Without ``--json`` the report is byte for byte the gate's expected text."""
+    from pmkit import acceptance
+
+    stubs, expected = _gate_stubs()
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 0
+    assert out == expected
+
+
+def test_verify_paper_json(capsys, monkeypatch):
+    """``--json`` prints each criterion's number, title, verdict, detail and
+    time, and keeps the exit codes of the text report."""
+    from pmkit import acceptance
+
+    stubs, expected = _gate_stubs()
+    monkeypatch.setattr(acceptance, "CRITERIA", stubs)
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert [list(r) for r in report] == [["number", "title", "ok", "detail", "seconds"]] * 14
+    lines = [
+        f"criterion {r['number']:2d} {'PASS' if r['ok'] else 'FAIL'} {r['title']} ({r['detail']})"
+        for r in report
+    ]
+    assert "\n".join(lines) + "\nsummary: 14/14 passed\n" == expected
+    assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in report)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [("stub", lambda budget: (False, "broken"))])
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 1
+    assert json.loads(out)[0]["ok"] is False

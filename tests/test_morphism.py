@@ -1,5 +1,6 @@
 """Map checking, surjective search, isomorphism, and the bipartite criteria."""
 
+import inspect
 import itertools
 import random
 
@@ -528,14 +529,23 @@ def reference_q6_sweep(sizes):
 
 
 def test_criteria_match_reference_on_the_sweep():
-    """Over the n = 3 slice of the criterion-14 sweep: the map built as a
-    tuple equals the one filled in place, the clause reports equal the
-    reference, and testing surjectivity before the full check gives the
-    verdict of the full check before surjectivity."""
+    """Over the n = 3 slice of the criterion-14 sweep: the map built as the
+    criterion builds it, a choice paired with the partner half from a
+    product over zeta, equals the one filled in place, the clause reports
+    equal the reference, and testing surjectivity before the full check
+    gives the verdict of the full check before surjectivity."""
+    targets = [catalog.q6(p, q) for q in (3, 4) for p in range(q + 1)]
+    criterion_maps = (
+        choice + partners
+        for _ in range(4)
+        for dst in targets
+        for choice, partners in zip(
+            itertools.product(range(dst.n), repeat=3),
+            itertools.product(dst.zeta, repeat=3),
+        )
+    )
     checked = 0
-    for src, dst, phi in reference_q6_sweep((3,)):
-        choice = tuple(phi[:3])
-        built = choice + tuple(dst.zeta[t] for t in choice)
+    for (src, dst, phi), built in zip(reference_q6_sweep((3,)), criterion_maps, strict=True):
         assert built == tuple(phi)
         report = check_q6_criteria(src, dst, built)
         assert report == reference_q6_criteria(src, dst, phi), (src, dst, phi)
@@ -544,6 +554,28 @@ def test_criteria_match_reference_on_the_sweep():
         assert report.ok == surjective_first == check_first, (src, dst, phi)
         checked += 1
     assert checked == 4 * (4 * 6**3 + 5 * 8**3)
+
+
+def test_q6_criteria_report_surface():
+    """The report is built by position or keyword, has its four clauses as
+    fields in order, is immutable, and compares and hashes by value."""
+    names = [
+        "level_onto_and_equivariant",
+        "exception_preimage_inside",
+        "injective_on_exception_preimage",
+        "collapsed_exceptions_witnessed",
+    ]
+    assert list(inspect.signature(Q6CriteriaReport).parameters) == names
+    by_position = Q6CriteriaReport(True, True, False, True)
+    by_keyword = Q6CriteriaReport(**dict(zip(names, (True, True, False, True))))
+    assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+    assert [getattr(by_keyword, name) for name in names] == [True, True, False, True]
+    assert not by_position.ok and Q6CriteriaReport(True, True, True, True).ok
+    assert by_position != Q6CriteriaReport(True, True, True, True)
+    with pytest.raises(AttributeError):
+        by_position.exception_preimage_inside = False
+    with pytest.raises(AttributeError):
+        by_position.ok = True
 
 
 def test_sweep_has_few_surjective_maps():
