@@ -14,6 +14,7 @@ frozensets of points.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 from .errors import IndexOutOfRange, NotAnElement, NotRegular, check_natural
@@ -24,14 +25,11 @@ from .space import Space
 class Algebra:
     """All downsets of a space, with the four algebra operations."""
 
-    __slots__ = ("space", "_index", "_elements")
-
     def __init__(self, space: Space, limit: int = DOWNSET_LIMIT):
         masks = space.poset.downset_masks(limit)
         object.__setattr__(self, "space", space)
         # element masks mapped to their positions, in the canonical order
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(masks)})
-        object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, name, val):
         raise AttributeError("Algebra is immutable")
@@ -46,12 +44,11 @@ class Algebra:
             return False
         return True
 
-    @property
+    @cached_property
     def elements(self) -> tuple[frozenset[int], ...]:
-        """The elements as frozensets of points, in the canonical order."""
-        if self._elements is None:
-            object.__setattr__(self, "_elements", tuple(map(Poset.set_of, self._index)))
-        return self._elements
+        """The elements as frozensets of points, in the canonical order,
+        listed on first read."""
+        return tuple(map(Poset.set_of, self._index))
 
     @property
     def zero(self) -> frozenset[int]:

@@ -44,6 +44,7 @@ from .errors import (
     PairedSingletonViolation,
     check_natural,
 )
+from .document import MAX_ELEMENTS
 from .order import Poset, canonical_sort
 from .space import Space
 
@@ -147,7 +148,10 @@ def disjoint_union(a: Space, b: Space) -> Space:
 
 
 def _check_boolean_subalgebra(family, ground: frozenset[int]):
-    sets = {frozenset(x) for x in family}
+    try:
+        sets = {frozenset(x) for x in family}
+    except TypeError:
+        raise NotBooleanSubalgebra(f"{family!r} is not a family of sets of points") from None
     if frozenset() not in sets or ground not in sets:
         raise NotBooleanSubalgebra("family must contain the empty set and the ground set")
     for xs in sets:
@@ -237,7 +241,9 @@ _Q_NAMES = (
 
 def named_space(token: str) -> tuple[Space, tuple[str, ...]]:
     """Resolve a catalog token (``q0``..``q5``, ``q6:m,n``, ``grid:n``,
-    ``crown:n``, ``chain3``) to a space plus printable element names."""
+    ``crown:n``, ``chain3``) to a space plus printable element names.
+    Like a space document, a token names at most
+    :data:`~pmkit.document.MAX_ELEMENTS` points; the constructors have no cap."""
     token = token.strip()
     if token == "chain3":
         return nonregular_chain3(), ("a", "b", "c")
@@ -250,6 +256,11 @@ def named_space(token: str) -> tuple[Space, tuple[str, ...]]:
             args = ()
         if len(args) != arity:
             raise BadParams(f"expected {usage}, got {token!r}")
+        size = len(prefixes) * args[-1]
+        if size > MAX_ELEMENTS:
+            raise BadParams(
+                f"a catalog space may have at most {MAX_ELEMENTS} points, {token!r} has {size}"
+            )
         space = build(*args)
         return space, tuple(f"{p}{i}" for p in prefixes for i in range(args[-1]))
     for i, names in enumerate(_Q_NAMES):

@@ -25,7 +25,7 @@ from .document import NamedSpace, parse_space
 from .errors import NotAnElement, ParseError, PmkitError
 from .morphism import DEFAULT_BUDGET, is_pm_isomorphic, search_surjective
 from .order import DOWNSET_LIMIT
-from .subalgebra import ClosureResult, _close, one_generator_growth
+from .subalgebra import _close, one_generator_growth
 from .variety import SimpleRef, l6_member, l6_member_oracle, subvariety_lattice
 
 OK, FALSE, ERROR = 0, 1, 2
@@ -196,8 +196,7 @@ def cmd_subalg(args) -> int:
             raise NotAnElement(f"{points} is not a downset of this space")
         gens.append(poset.mask_of(points))
     # closed on the space alone: the downsets are never listed
-    members, count = _close(named.space, gens, DOWNSET_LIMIT)
-    result = ClosureResult(set(members), len(gens), count)
+    result = _close(named.space, gens, DOWNSET_LIMIT)
     print(f"size: {len(result)}")
     print(f"op_applications: {result.op_applications}")
     if args.list:
@@ -207,6 +206,9 @@ def cmd_subalg(args) -> int:
 
 
 def cmd_grow(args) -> int:
+    # resolved as its token, the grid is capped like any catalog space; held
+    # here, it is the shared instance the growth then closes on
+    grid = catalog.named_space(f"grid:{args.n}")
     size = one_generator_growth(args.n)
     print(f"size: {size}")
     print(f"bound: {args.n}")

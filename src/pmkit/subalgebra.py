@@ -16,57 +16,47 @@ the space alone and never enumerate the downset algebra.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from . import catalog
 from .algebra import Algebra, dual_algebra
-from .errors import BadParams, Overflow, check_natural
+from .errors import BadParams, NotAnElement, Overflow, check_natural
 from .order import DOWNSET_LIMIT, Poset, canonical_sort, closed_masks, iter_bits
 from .space import Space
 
 
+@dataclass(frozen=True)
 class ClosureResult:
     """A generated subalgebra.
 
     The members are kept as the bitmasks of their points.  ``generated``
     lists them as frozensets, in the canonical element order, on first read
     and keeps the tuple; ``len()``, equality, ``generator_count`` and
-    ``op_applications`` make no frozensets.  The hash is that of the tuple
-    ``(generated, generator_count, op_applications)``, so hashing lists.
+    ``op_applications`` make no frozensets.  Equality compares the member
+    masks, the generator count and the op applications.  The hash is that
+    of the tuple ``(generated, generator_count, op_applications)``, so
+    hashing lists.
 
     ``op_applications`` counts the star and prime evaluations and the joins
     made by the closure.
     """
 
-    __slots__ = ("_masks", "generator_count", "op_applications", "_generated")
+    # The set is kept as handed over, without a copy; nothing mutates it.
+    _masks: set[int]
+    generator_count: int
+    op_applications: int
 
-    def __init__(self, masks: set[int], generator_count: int, op_applications: int):
-        # The set is kept as handed over, without a copy; nothing mutates it.
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "generator_count", generator_count)
-        object.__setattr__(self, "op_applications", op_applications)
-        object.__setattr__(self, "_generated", None)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("ClosureResult is immutable")
-
-    @property
+    @cached_property
     def generated(self) -> tuple[frozenset[int], ...]:
         """The members as frozensets of points, in the canonical order."""
-        if self._generated is None:
-            # The top is a member, so its bit length is the point count.
-            out = canonical_sort(self._masks, max(self._masks).bit_length())
-            object.__setattr__(self, "_generated", tuple(map(Poset.set_of, out)))
-        return self._generated
+        # The top is a member, so its bit length is the point count.
+        out = canonical_sort(self._masks, max(self._masks).bit_length())
+        return tuple(map(Poset.set_of, out))
 
     def __len__(self) -> int:
         return len(self._masks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        mine = (self._masks, self.generator_count, self.op_applications)
-        return mine == (other._masks, other.generator_count, other.op_applications)
 
     def __hash__(self):
         return hash((self.generated, self.generator_count, self.op_applications))
@@ -79,9 +69,8 @@ class ClosureResult:
         )
 
 
-def _close(space: Space, gens: Iterable[int], limit: int) -> tuple[list[int], int]:
-    """Masks of the members of the subalgebra generated by the downset
-    masks ``gens``, and the op applications spent on them.  Raises
+def _close(space: Space, gens: list[int], limit: int) -> ClosureResult:
+    """The subalgebra generated by the downset masks ``gens``.  Raises
     :class:`SizeLimitExceeded` once more than ``limit`` members are listed."""
     top = space.poset.all_mask
     # least[i] is the least generated member containing point i: the meet of
@@ -113,22 +102,27 @@ def _close(space: Space, gens: Iterable[int], limit: int) -> tuple[list[int], in
                     refine(y)
     # one join per member listed, past the empty union
     found = closed_masks(least, limit, "subalgebra members")
-    return found, count + len(found) - 1
+    return ClosureResult(set(found), len(gens), count + len(found) - 1)
 
 
 def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> ClosureResult:
     """Least subset of the algebra containing the generators and constants,
     closed under meet, join, pseudocomplement and the de Morgan operation."""
-    gens = [algebra.mask_of(g) for g in gens]
+    try:
+        gens = list(gens)
+    except TypeError:
+        raise NotAnElement(f"{gens!r} is not a collection of elements") from None
     # a subset of the algebra cannot outgrow it, so the limit never binds
-    members, count = _close(algebra.space, gens, len(algebra))
-    return ClosureResult(set(members), len(gens), count)
+    return _close(algebra.space, [algebra.mask_of(g) for g in gens], len(algebra))
 
 
 def is_closed_family(algebra: Algebra, family: Iterable[Iterable[int]]) -> bool:
     """Check a family is a subalgebra: it equals its own closure, so it
     contains the constants and is closed under all four operations."""
-    family = {frozenset(f) for f in family}
+    try:
+        family = {frozenset(f) for f in family}
+    except TypeError:
+        raise NotAnElement(f"{family!r} is not a family of sets of points") from None
     # the family lies in its closure, so the two are equal iff equally large
     return len(generate_subalgebra(algebra, family)) == len(family)
 
@@ -138,8 +132,7 @@ def one_generator_growth(n: int, limit: int = DOWNSET_LIMIT) -> int:
     the dual algebra of the width-2 grid; always at least ``n``.  Raises
     :class:`SizeLimitExceeded` when it has more than ``limit`` members."""
     # point 0 is minimal, so its singleton (mask 1) is a downset
-    members, _ = _close(catalog.range2_grid(n), [1], limit)
-    return len(members)
+    return len(_close(catalog.range2_grid(n), [1], limit))
 
 
 def local_finiteness_bound(generators: int) -> int:
@@ -177,6 +170,6 @@ def crown_bound_check(n: int, generators: int) -> bool:
     space = catalog.crown_pair(n)
     ceiling = crown_bound_ceiling(generators)
     if generators == 0:
-        return len(_close(space, [], DOWNSET_LIMIT)[0]) <= ceiling
+        return len(_close(space, [], DOWNSET_LIMIT)) <= ceiling
     # Every one-generator closure is a subset of the algebra.
     return len(dual_algebra(space)) <= ceiling

@@ -188,7 +188,11 @@ def distinct_varieties(labels: Iterable[tuple[int, int]]) -> bool:
     distinct varieties?  Reduces to mutual non-embeddability of distinct
     diagonal members."""
     labels = list(labels)
-    for n, n2 in labels:
+    for label in labels:
+        try:
+            n, n2 = label
+        except (TypeError, ValueError):
+            raise BadLabel(f"labels are pairs (n, n), got {label!r}") from None
         if n != n2:
             raise BadLabel(f"diagonal labels only, got ({n}, {n2})")
         _check_label(n, n)

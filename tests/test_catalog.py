@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from pmkit import Poset, Space, catalog, dual_algebra, is_pm_isomorphic
+from pmkit.document import MAX_ELEMENTS
 from pmkit.errors import (
     BadParams,
     IndexOutOfRange,
@@ -281,6 +282,20 @@ def test_kf_crown_paired_singleton_enforced(field_of_subsets):
         catalog.kf_subalgebra_crown(2, lopsided, [fs(), fs(2, 3)])
 
 
+def test_kf_families_that_are_no_sets_are_refused():
+    """A member that is no collection of hashable points is refused as a
+    family, in either field of the crown."""
+    with pytest.raises(NotBooleanSubalgebra, match="is not a family of sets of points"):
+        catalog.kf_subalgebra_q6(2, 4, [[[0]]])
+    field = [fs(), fs(0, 1)]
+    with pytest.raises(NotBooleanSubalgebra, match="is not a family of sets of points"):
+        catalog.kf_subalgebra_crown(2, [[[0]]], [fs(), fs(2, 3)])
+    with pytest.raises(NotBooleanSubalgebra, match="is not a family of sets of points"):
+        catalog.kf_subalgebra_crown(2, field, [[[2]]])
+    with pytest.raises(NotBooleanSubalgebra, match="is not a family of sets of points"):
+        catalog.kf_subalgebra_q6(2, 4, 5)
+
+
 # -- registry -------------------------------------------------------------------------
 
 
@@ -318,6 +333,31 @@ def test_named_space_rejects_junk():
         with pytest.raises(BadParams) as caught:
             catalog.named_space(token)
         assert str(caught.value) == message, token
+
+
+def test_named_space_caps_points_like_a_document(monkeypatch):
+    """A token names at most MAX_ELEMENTS points and is refused before its
+    space is built (the CLI tests build the tokens at the cap); the
+    constructors themselves have no cap."""
+
+    def refuse(*args):
+        raise AssertionError("the space was built")
+
+    monkeypatch.setattr(catalog, "_two_level", refuse)
+    expected = {
+        "q6:0,513": "'q6:0,513' has 1026",
+        "q6:600,513": "'q6:600,513' has 1026",
+        "grid:513": "'grid:513' has 1026",
+        "crown:257": "'crown:257' has 1028",
+        "grid:50000": "'grid:50000' has 100000",
+    }
+    for token, tail in expected.items():
+        with pytest.raises(BadParams) as caught:
+            catalog.named_space(token)
+        message = f"a catalog space may have at most {MAX_ELEMENTS} points, {tail}"
+        assert str(caught.value) == message, token
+    monkeypatch.undo()
+    assert catalog.crown_pair(257).n == 1028
 
 
 def test_every_catalog_space_validates(catalog_spaces):

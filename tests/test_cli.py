@@ -79,6 +79,27 @@ def test_document_above_the_element_cap_is_a_parse_error(tmp_path, capsys):
     assert f"ParseError: a document may list at most {MAX_ELEMENTS} elements" in err
 
 
+def test_catalog_tokens_are_capped_like_documents(capsys):
+    """A token may name MAX_ELEMENTS points and no more; a larger one, and
+    growth past that size, exit 2 before the space is built."""
+    for token in ("q6:0,512", "crown:256"):
+        code, out, _ = run(capsys, "validate", token)
+        assert (code, out) == (0, f"valid: true\nelements: {MAX_ELEMENTS}\n")
+    for token, size in (("q6:0,513", 1026), ("grid:513", 1026), ("crown:257", 1028)):
+        code, out, err = run(capsys, "kind", token)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: BadParams: a catalog space may have at most {MAX_ELEMENTS} points,"
+            f" {token!r} has {size}\n"
+        )
+    code, out, err = run(capsys, "grow", "513")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: BadParams: a catalog space may have at most {MAX_ELEMENTS} points,"
+        " 'grid:513' has 1026\n"
+    )
+
+
 def test_validate_unknown_token(capsys):
     code, out, _ = run(capsys, "validate", "qq9")
     assert code == 1

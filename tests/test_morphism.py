@@ -16,6 +16,7 @@ from pmkit import (
     is_pm_isomorphic,
     search_surjective,
 )
+from pmkit import morphism
 from pmkit.cli import main as cli_main
 from pmkit.errors import BadParams, IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
 from pmkit.morphism import Q6CriteriaReport, _search_tables, q6_params_of
@@ -717,3 +718,37 @@ def test_q6_twins_are_the_exceptions_and_the_rest(m, n):
     blocks = [range(m), range(m, n), range(n, n + m), range(n + m, 2 * n)]
     expected = {frozenset(block) for block in blocks if len(block) > 1}
     assert twin_classes(space) == expected
+
+
+def test_the_partner_consistency_check_never_rejects(monkeypatch, random_pm_space):
+    """``_Search._extend`` checks ``zeta(x) -> zeta(t)`` against the points
+    already placed, right after ``x -> t`` passed.  That check is implied:
+    the placed points are closed under zeta and the map commutes with it,
+    so ``u <= zeta(x)`` iff ``x <= zeta(u)``, which the check of ``x``
+    covered, and the pair ``(x, zeta x)`` itself is covered by the
+    ``below_partner`` filter on both candidate masks.  The call is the
+    partner call exactly when its point is the partner of the point placed
+    last and differs from it."""
+    original = morphism._Search._consistent
+    partner_calls = []
+
+    def consistent(search, x, t):
+        verdict = original(search, x, t)
+        placed = search.assigned
+        if placed and x == search.src.zeta[placed[-1]] != placed[-1]:
+            partner_calls.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(morphism._Search, "_consistent", consistent)
+    q6s = [catalog.q6(m, n) for n in (3, 4, 5) for m in range(n + 1)]
+    for src, dst in itertools.product(q6s, repeat=2):
+        search_surjective(src, dst)
+    for a, b in itertools.permutations(range(2, 5), 2):
+        search_surjective(catalog.crown_pair(a), catalog.crown_pair(b))
+    rng = random.Random(19)
+    for _ in range(60):
+        src, dst = random_pm_space(rng), random_pm_space(rng)
+        search_surjective(src, dst)
+        is_pm_isomorphic(src, _relabel(src, rng.sample(range(src.n), src.n)))
+    assert len(partner_calls) > 4000
+    assert all(partner_calls)

@@ -89,6 +89,20 @@ def test_closure_rejects_non_elements():
         generate_subalgebra(algebra, [fs(1)])
 
 
+def test_closure_rejects_collections_that_are_no_elements():
+    """A generator list or family that is no collection of point sets is
+    refused as no element, not with a raw TypeError."""
+    algebra = dual_algebra(catalog.q6(2, 4))
+    with pytest.raises(NotAnElement, match="^5 is not a collection of elements$"):
+        generate_subalgebra(algebra, 5)
+    with pytest.raises(NotAnElement, match=r"^\[5\] is not a family of sets of points$"):
+        is_closed_family(algebra, [5])
+    with pytest.raises(NotAnElement, match="^5 is not a family of sets of points$"):
+        is_closed_family(algebra, 5)
+    with pytest.raises(NotAnElement):
+        generate_subalgebra(algebra, [5])
+
+
 def test_closure_rejects_bool_points():
     """True is not point 1: a bool point is no element, as a bool map image
     is no point."""

@@ -346,6 +346,12 @@ def test_distinct_varieties_rejects_off_diagonal():
         distinct_varieties([(3, 4)])
 
 
+@pytest.mark.parametrize("labels", [[(3, 3), 5], [(3, 3, 3)], [(4, 4), None]])
+def test_distinct_varieties_rejects_labels_that_are_no_pairs(labels):
+    with pytest.raises(BadLabel, match=r"^labels are pairs \(n, n\), got "):
+        distinct_varieties(labels)
+
+
 def test_diagonal_sweep_matches_formula():
     for n in (3, 4, 5):
         for m in (3, 4, 5):
