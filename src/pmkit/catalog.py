@@ -45,7 +45,7 @@ from .errors import (
     check_natural,
 )
 from .document import MAX_ELEMENTS
-from .order import Poset, canonical_sort
+from .order import Poset, canonical_sort, is_index
 from .space import Space
 
 
@@ -147,11 +147,18 @@ def disjoint_union(a: Space, b: Space) -> Space:
 # -- closed subalgebra families ------------------------------------------------
 
 
-def _check_boolean_subalgebra(family, ground: frozenset[int]):
+def _check_boolean_subalgebra(family, ground: frozenset[int], n: int):
+    """The members of ``family`` as frozensets, after checking that they
+    hold points of an ``n``-point space and form a field of subsets of
+    ``ground``."""
     try:
         sets = {frozenset(x) for x in family}
     except TypeError:
         raise NotBooleanSubalgebra(f"{family!r} is not a family of sets of points") from None
+    # Before any message sorts a member: points of mixed types do not sort.
+    for x in frozenset().union(*sets):
+        if not is_index(x, n):
+            raise NotBooleanSubalgebra(f"{x!r} is not a point of the space")
     if frozenset() not in sets or ground not in sets:
         raise NotBooleanSubalgebra("family must contain the empty set and the ground set")
     for xs in sets:
@@ -190,7 +197,7 @@ def kf_subalgebra_q6(m: int, n: int, family) -> list[frozenset[int]]:
     singletons from the first ``m`` indices."""
     space = q6(m, n)
     ground = frozenset(range(n))
-    sets = _check_boolean_subalgebra(family, ground)
+    sets = _check_boolean_subalgebra(family, ground, space.n)
     return _closed_family(space, sets, ground, frozenset(range(m)))
 
 
@@ -204,8 +211,8 @@ def kf_subalgebra_crown(n: int, family_a, family_b) -> list[frozenset[int]]:
     space = crown_pair(n)
     ground_a = frozenset(range(n))
     ground_b = frozenset(range(n, 2 * n))
-    sets_a = _check_boolean_subalgebra(family_a, ground_a)
-    sets_b = _check_boolean_subalgebra(family_b, ground_b)
+    sets_a = _check_boolean_subalgebra(family_a, ground_a, space.n)
+    sets_b = _check_boolean_subalgebra(family_b, ground_b, space.n)
     for i in range(n):
         if (frozenset((i,)) in sets_a) != (frozenset((n + i,)) in sets_b):
             raise PairedSingletonViolation(

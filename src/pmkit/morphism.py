@@ -9,16 +9,24 @@ so the exhaustive search below decides embeddability questions.
 The search assigns images to minimal elements first; the involution then
 forces the images of their partners, which halves the branching on spaces
 of height at most 1.  The scan is in lexicographic order with a
-configurable node budget, so verdicts and witnesses are deterministic.  Its
-state is a partial map and the mask of the targets used so far, handed down
-the recursion; the candidate masks of each point are handed in, built once
-by ``_candidates`` (and narrowed by point key for the isomorphism test).
-Pruning never removes the lexicographically first witness:
+configurable node budget, so verdicts and witnesses are deterministic.  It
+checks forward on bitset domains (Haralick & Elliott 1980): every source
+point has a domain, the mask of the targets it may still take, which
+starts as its candidate mask from ``_candidates`` (narrowed by point key
+for the isomorphism test).  The domains ride down the recursion next to the
+mask of the targets used so far.  Pruning never removes the
+lexicographically first witness:
 
 * two static candidate filters drawn from the minimal-element condition:
   ``x <= zeta(x)`` forces ``phi(x) <= zeta(phi(x))``, and ``phi(x)`` has at
   most as many minimals below it as ``x`` has;
-* per-assignment order checks, and a surjectivity reachability bound;
+* narrowing: placing ``x -> t`` (and ``zeta x -> zeta t``) cuts the domain
+  of every unplaced point above ``x`` to the targets above ``t``, and below
+  ``x`` to those below ``t``; a branch ends when a domain empties, and the
+  partner is placed only while ``zeta t`` is still in its domain;
+* coverage: a branch ends when the used targets and the open domains
+  together miss a target, or when fewer points are free than targets are
+  unused;
 * twin value-symmetry breaking: targets ``t < t'`` are twins when the swap
   ``(t t')(zeta t, zeta t')`` is an automorphism of the target.  Let ``t``
   be the least twin of ``t'``.  While ``t``, ``t'`` and their partners are
@@ -29,6 +37,9 @@ Pruning never removes the lexicographically first witness:
   points with the same key (up and down sizes, whether fixed, below or
   above the partner); the isomorphism test matches points by that key too,
   and automorphisms keep it, so the argument holds there as well.
+  Narrowing keeps it sound: a domain is cut only by the rows of used
+  targets, which the swap fixes, so ``t`` and ``t'`` lie in the same
+  domains.
 
 The minimal-element condition is verified in full at the leaves by the same
 validator used for standalone checking.
@@ -247,32 +258,35 @@ class _Search:
         rest = sorted(set(range(src.n)) - set(minimals))
         self.order = minimals + rest
         self.mapping = [-1] * src.n
-        self.assigned: list[int] = []
         self.witness: Optional[tuple[int, ...]] = None
 
-    def _consistent(self, x: int, t: int) -> bool:
+    def run(self) -> bool:
+        return self._extend(0, 0, (1 << self.src.n) - 1, self.cand)
+
+    def _narrow(self, dom: list[int], free: int, x: int, t: int) -> bool:
+        """After ``x -> t``, cut the domain of every free point above ``x``
+        to the points above ``t``, and below ``x`` to those below ``t``;
+        False as soon as a domain is empty."""
         sp, dp = self.src.poset, self.dst.poset
-        for u in self.assigned:
-            fu = self.mapping[u]
-            if sp.leq(u, x) and not dp.leq(fu, t):
-                return False
-            if sp.leq(x, u) and not dp.leq(t, fu):
-                return False
+        for row, cut in ((sp.up_mask(x), dp.up_mask(t)), (sp.down_mask(x), dp.down_mask(t))):
+            for u in iter_bits(row & free):
+                dom[u] &= cut
+                if not dom[u]:
+                    return False
         return True
 
-    def run(self) -> bool:
-        return self._extend(0, 0)
-
-    def _extend(self, pos: int, used: int) -> bool:
-        """Extend the partial map from ``order[pos]`` on; ``used`` is the
-        mask of the targets it hits so far.  Every step places ``x`` and
-        ``zeta(x)`` together, so ``used`` is closed under zeta, and the
-        coverage bound checked before each descent makes it full at a leaf."""
+    def _extend(self, pos: int, used: int, free: int, dom: Sequence[int]) -> bool:
+        """Extend the partial map from ``order[pos]`` on.  ``used`` is the
+        mask of the targets hit so far, ``free`` that of the unplaced points,
+        and ``dom[u]`` the targets still open to a free point ``u``;
+        ``mapping`` is up to date at the placed points only.  Every step
+        places ``x`` and ``zeta(x)`` together, so ``used`` is closed under
+        zeta, and the coverage checks made before each descent make it full
+        at a leaf."""
         n = self.src.n
-        while pos < n and self.mapping[self.order[pos]] >= 0:
+        while pos < n and not free >> self.order[pos] & 1:
             pos += 1
-        if len(self.assigned) > self.deepest:
-            self.deepest = len(self.assigned)
+        self.deepest = max(self.deepest, n - free.bit_count())
         if pos == n:
             if check_pm_morphism(self.src, self.dst, self.mapping).ok:
                 self.witness = tuple(self.mapping)
@@ -281,7 +295,8 @@ class _Search:
         x = self.order[pos]
         zx = self.src.zeta[x]
         dst_zeta = self.dst.zeta
-        for t in iter_bits(self.cand[x]):
+        all_targets = (1 << self.dst.n) - 1
+        for t in iter_bits(dom[x]):
             tz = dst_zeta[t]
             r = self.twin[t]
             if r != t and not used & (1 << t | 1 << r):
@@ -294,24 +309,31 @@ class _Search:
                 )
             if zx == x and tz != t:
                 continue
-            if not self._consistent(x, t):
+            rest = free & ~(1 << x)
+            child_dom = list(dom)
+            if not self._narrow(child_dom, rest, x, t):
+                continue
+            if zx != x:
+                # The partner's domain is already narrowed by x -> t.
+                if not child_dom[zx] >> tz & 1:
+                    continue
+                rest &= ~(1 << zx)
+                if not self._narrow(child_dom, rest, zx, tz):
+                    continue
+            child = used | 1 << t | 1 << tz
+            # Every free point covers at most one new target, and only one
+            # still in its domain.
+            if self.dst.n - child.bit_count() > rest.bit_count():
+                continue
+            reach = child
+            for u in iter_bits(rest):
+                reach |= child_dom[u]
+            if reach != all_targets:
                 continue
             self.mapping[x] = t
-            self.assigned.append(x)
-            if zx == x or ((self.cand[zx] >> tz) & 1 and self._consistent(zx, tz)):
-                if zx != x:
-                    self.mapping[zx] = tz
-                    self.assigned.append(zx)
-                child = used | 1 << t | 1 << tz
-                # Every remaining unassigned element covers at most one new target.
-                remaining = n - len(self.assigned)
-                if self.dst.n - child.bit_count() <= remaining and self._extend(pos + 1, child):
-                    return True
-                if zx != x:
-                    self.mapping[zx] = -1
-                    self.assigned.pop()
-            self.mapping[x] = -1
-            self.assigned.pop()
+            self.mapping[zx] = tz
+            if self._extend(pos + 1, child, rest, child_dom):
+                return True
         return False
 
 

@@ -296,6 +296,31 @@ def test_kf_families_that_are_no_sets_are_refused():
         catalog.kf_subalgebra_q6(2, 4, 5)
 
 
+@pytest.mark.parametrize("point", ["a", None, 2.5, -1, 100])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: catalog.kf_subalgebra_q6(2, 4, [fs(), fs(0, 1, 2, 3), bad]),
+        lambda bad: catalog.kf_subalgebra_crown(2, [fs(), fs(0, 1), bad], [fs(), fs(2, 3)]),
+        lambda bad: catalog.kf_subalgebra_crown(2, [fs(), fs(0, 1)], [fs(), fs(2, 3), bad]),
+    ],
+    ids=["q6", "crown-a", "crown-b"],
+)
+def test_kf_members_must_hold_points(build, point):
+    """A member holding something that is no point of the space is refused
+    before any message sorts it; mixed with ints it would not sort."""
+    with pytest.raises(NotBooleanSubalgebra, match="is not a point of the space"):
+        build([0, point])
+    with pytest.raises(NotBooleanSubalgebra, match="is not a point of the space"):
+        build([point])
+
+
+def test_kf_members_must_hold_int_points():
+    """``True`` is no point, though a set holding it equals one holding 1."""
+    with pytest.raises(NotBooleanSubalgebra, match="True is not a point of the space"):
+        catalog.kf_subalgebra_q6(2, 4, [fs(), fs(0, 1, 2, 3), [True]])
+
+
 # -- registry -------------------------------------------------------------------------
 
 
