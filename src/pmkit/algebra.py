@@ -4,12 +4,13 @@ Elements are the decreasing subsets of the space, with intersection and
 union as lattice operations, the pseudocomplement ``star`` (complement of
 the up-closure), the de Morgan involution ``prime`` (complement of the
 involution image) and the derived dual pseudocomplement.  Inside, an element
-is the bitmask of its points: the elements are enumerated once as masks in
-the canonical order (by cardinality, then by sorted index tuple), and every
-operation and query works on masks through the space's star and prime
-(:meth:`~pmkit.space.Space.star_prime`).  The congruence sets need only
-those, so the space lists them.  The public methods take and return
-frozensets of points.
+is the bitmask of its points.  The elements are counted at construction
+(:meth:`~pmkit.order.Poset.count_downsets`), and listed as masks in the
+canonical order (by cardinality, then by sorted index tuple) only on first
+need: ``len()``, membership and the four operations read the space's down
+rows and its star and prime (:meth:`~pmkit.space.Space.star_prime`) and
+list nothing.  The congruence sets need only those, so the space lists them.
+The public methods take and return frozensets of points.
 """
 
 from __future__ import annotations
@@ -17,8 +18,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .errors import IndexOutOfRange, NotAnElement, NotRegular, check_natural
-from .order import DOWNSET_LIMIT, Poset
+from .errors import (
+    IndexOutOfRange,
+    NotAnElement,
+    NotRegular,
+    SizeLimitExceeded,
+    check_natural,
+)
+from .order import DOWNSET_LIMIT, Poset, check_indices
 from .space import Space
 
 
@@ -26,16 +33,26 @@ class Algebra:
     """All downsets of a space, with the four algebra operations."""
 
     def __init__(self, space: Space, limit: int = DOWNSET_LIMIT):
-        masks = space.poset.downset_masks(limit)
+        count = space.poset.count_downsets(limit)
+        if count > limit:
+            raise SizeLimitExceeded(
+                f"more than {limit} downsets ({count} exist); raise the limit to proceed"
+            )
         object.__setattr__(self, "space", space)
-        # element masks mapped to their positions, in the canonical order
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(masks)})
+        object.__setattr__(self, "_count", count)
 
     def __setattr__(self, name, val):
         raise AttributeError("Algebra is immutable")
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._count
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        """Element masks mapped to their positions in the canonical order,
+        listed on first need."""
+        masks = self.space.poset.downset_masks(self._count)
+        return {m: i for i, m in enumerate(masks)}
 
     def __contains__(self, xs) -> bool:
         try:
@@ -65,9 +82,15 @@ class Algebra:
             xs = tuple(xs)
         except TypeError:
             raise NotAnElement(f"{xs!r} is not a set of points") from None
+        poset = self.space.poset
+        down = poset._down
         try:
-            mask = self.space.poset.mask_of(xs)
-            if mask in self._index:
+            mask = below = 0
+            for x in check_indices(xs, poset.n):
+                mask |= 1 << x
+                below |= down[x]
+            # a downset holds everything below its points
+            if below == mask:
                 return mask
         except IndexOutOfRange:
             pass
@@ -78,6 +101,8 @@ class Algebra:
         raise NotAnElement(f"{xs} is not a downset of this space")
 
     def index_of(self, xs: Iterable[int]) -> int:
+        """Position of the element in the canonical order; lists the
+        elements on first use."""
         return self._index[self.mask_of(xs)]
 
     # -- operations ----------------------------------------------------------
@@ -166,7 +191,8 @@ class Algebra:
     # -- duality round trip ----------------------------------------------------
 
     def point_ideal(self, x: int) -> frozenset[int]:
-        """Indices of the elements avoiding point ``x`` (a prime ideal)."""
+        """Indices of the elements avoiding point ``x`` (a prime ideal);
+        lists the elements on first use."""
         bit = self.space.poset.mask_of((x,))
         return frozenset(i for i, m in enumerate(self._index) if not m & bit)
 
@@ -191,5 +217,6 @@ class Algebra:
 
 
 def dual_algebra(space: Space, limit: int = DOWNSET_LIMIT) -> Algebra:
-    """Enumerate the downset algebra of ``space``."""
+    """The downset algebra of ``space``, counted; raises
+    :class:`SizeLimitExceeded` when it has more than ``limit`` elements."""
     return Algebra(space, limit)

@@ -116,14 +116,17 @@ def cmd_components(args) -> int:
 
 def cmd_dual(args) -> int:
     named = resolve_space(args.space)
+    if not args.tables:
+        # counted, not listed, so the size may pass the listing limit
+        print(f"size: {named.space.poset.count_downsets()}")
+        return OK
     algebra = dual_algebra(named.space)
     print(f"size: {len(algebra)}")
-    if args.tables:
-        for xs in algebra.elements:
-            member = "{" + ", ".join(named.set_names(xs)) + "}"
-            star = "{" + ", ".join(named.set_names(algebra.star(xs))) + "}"
-            prime = "{" + ", ".join(named.set_names(algebra.prime(xs))) + "}"
-            print(f"element: {member} star: {star} prime: {prime}")
+    for xs in algebra.elements:
+        member = "{" + ", ".join(named.set_names(xs)) + "}"
+        star = "{" + ", ".join(named.set_names(algebra.star(xs))) + "}"
+        prime = "{" + ", ".join(named.set_names(algebra.prime(xs))) + "}"
+        print(f"element: {member} star: {star} prime: {prime}")
     return OK
 
 

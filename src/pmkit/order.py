@@ -474,6 +474,99 @@ class Poset:
         """
         return canonical_sort(closed_masks(self._down, limit, "downsets"), self.n)
 
+    def count_downsets(self, limit: int = DOWNSET_LIMIT) -> int:
+        """The number of decreasing subsets, counted without listing them.
+
+        Downsets of a union of order components are products of theirs; a
+        component of one point has two, and one of two points (a chain) has
+        three.  A larger component ``C`` branches on its point ``x`` of
+        largest comparability degree: the downsets without ``x`` are those of
+        ``C - up x``, and those with ``x``, less ``down x``, are those of
+        ``C - down x``.  Counts are memoised on the component mask, on an
+        explicit stack, so no depth limit applies.  Counting is #P-complete
+        (Provan & Ball 1983), so it has a budget: it raises
+        :class:`SizeLimitExceeded` once ``limit`` components are branched on.
+        The downsets outnumber the components branched on by at least two,
+        so more than ``limit`` exist then.
+        """
+        check_natural(limit, "limit")
+        up, down = self._up, self._down
+        memo: dict[int, int] = {}
+        # the parts of each component branched on, its two sides split
+        pending: dict[int, tuple] = {}
+        top = self._parts(self._all)
+        stack = list(top[1])
+        while stack:
+            comp = stack[-1]
+            if comp in memo:
+                stack.pop()
+                continue
+            sides = pending.pop(comp, None)
+            if sides is None:
+                if len(memo) + len(pending) >= limit:
+                    raise SizeLimitExceeded(
+                        f"more than {limit} downsets (counting stopped after "
+                        f"{limit} states); raise the limit to proceed"
+                    )
+                x = self._hub(comp)
+                sides = self._parts(comp & ~up[x]), self._parts(comp & ~down[x])
+                pending[comp] = sides
+                stack += [c for _, comps in sides for c in comps if c not in memo]
+                continue
+            # every part above this component on the stack is counted by now
+            stack.pop()
+            memo[comp] = sum(self._product(part, memo) for part in sides)
+        return self._product(top, memo)
+
+    @staticmethod
+    def _product(part: tuple[int, list[int]], memo: dict[int, int]) -> int:
+        """Downsets of a part: its small components' product times the
+        counts of the others."""
+        total, comps = part
+        for comp in comps:
+            total *= memo[comp]
+        return total
+
+    def _parts(self, mask: int) -> tuple[int, list[int]]:
+        """The comparability components of ``mask``: the product of the
+        downset counts of those with at most two points (2 for a lone
+        point, 3 for a pair, which is a chain), and the masks of the rest."""
+        nbr = self._nbr
+        small, comps = 1, []
+        while mask:
+            comp = frontier = mask & -mask
+            while frontier and comp != mask:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= nbr[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & mask & ~comp
+                comp |= frontier
+            mask &= ~comp
+            size = comp.bit_count()
+            if size > 2:
+                comps.append(comp)
+            else:
+                small *= size + 1
+        return small, comps
+
+    def _hub(self, comp: int) -> int:
+        """The first point of ``comp`` of largest comparability degree in it."""
+        nbr, most = self._nbr, comp.bit_count() - 1
+        best = hub = -1
+        rest = comp
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            degree = (nbr[i] & comp).bit_count()
+            if degree > best:
+                best, hub = degree, i
+                if degree == most:  # comparable to all the rest
+                    break
+            rest ^= low
+        return hub
+
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs ``(a, b)``: a < b with nothing strictly between."""
         out = []

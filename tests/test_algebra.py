@@ -13,6 +13,7 @@ from pmkit.errors import (
     NotRegular,
     SizeLimitExceeded,
 )
+from pmkit.subalgebra import crown_bound_check, is_closed_family
 
 
 def fs(*xs):
@@ -227,6 +228,46 @@ def test_not_an_element_message_lists_int_points_sorted():
 def test_size_limit():
     with pytest.raises(SizeLimitExceeded):
         dual_algebra(catalog.q6(0, 6), limit=10)
+
+
+def test_size_limit_is_inclusive_and_states_the_count():
+    space = catalog.q6(2, 6)
+    size = len(dual_algebra(space))
+    assert len(dual_algebra(space, limit=size)) == size
+    message = f"^more than {size - 1} downsets \\({size} exist\\)"
+    with pytest.raises(SizeLimitExceeded, match=message):
+        dual_algebra(space, limit=size - 1)
+
+
+def test_size_membership_and_closures_list_nothing(monkeypatch, random_pm_space):
+    """Size, membership, the operations, closures and the crown check read
+    the down rows and the space's star and prime: no downset is listed.
+    Membership agrees with the frozenset reference on random pm-spaces."""
+    rng = random.Random(607)
+    refs = [FrozensetAlgebra(random_pm_space(rng)) for _ in range(40)]
+    family = generate_subalgebra(dual_algebra(catalog.range2_grid(8)), [fs(0, 1)]).generated
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the downsets were listed")
+
+    monkeypatch.setattr(Poset, "downset_masks", refuse)
+    algebra = dual_algebra(catalog.range2_grid(8))
+    assert len(algebra) == 537
+    assert fs(0, 1) in algebra and fs(8) not in algebra and algebra.mask_of([1, 0]) == 3
+    assert algebra.star(fs(0)) == fs(1, 2, 3, 4, 5, 6, 7, 9)
+    assert algebra.prime(fs(0)) == fs(*range(8), *range(9, 16))
+    assert len(generate_subalgebra(algebra, [fs(0)])) == 537
+    assert is_closed_family(algebra, family)
+    assert crown_bound_check(3, 1)
+    for ref in refs:
+        algebra, n = dual_algebra(ref.space), ref.space.n
+        assert len(algebra) == len(ref.elements)
+        members = set(ref.elements)
+        for k in range(n + 1):
+            for xs in itertools.combinations(range(n), k):
+                assert (xs in algebra) == (frozenset(xs) in members), (ref.space, xs)
+    with pytest.raises(AssertionError, match="listed"):
+        algebra.elements
 
 
 def test_not_an_element():

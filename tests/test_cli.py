@@ -138,6 +138,17 @@ def test_dual_with_tables(capsys):
     assert "star:" in out and "prime:" in out
 
 
+def test_dual_counts_past_the_listing_limit(capsys):
+    """q6:5,40 has 2**41 + 4 downsets: the size is counted, and only the
+    tables, which list the elements, stop at the limit."""
+    code, out, err = run(capsys, "dual", "q6:5,40")
+    assert code == 0 and err == ""
+    assert out == "size: 2199023255556\n"
+    code, out, err = run(capsys, "dual", "q6:5,40", "--tables")
+    assert code == 2 and out == ""
+    assert "SizeLimitExceeded: more than 1048576 downsets (2199023255556 exist)" in err
+
+
 def test_congruences(capsys):
     code, out, _ = run(capsys, "congruences", "q2")
     assert code == 0
@@ -270,6 +281,15 @@ def test_kind_prints_nothing_when_it_fails(tmp_path, capsys):
     code, out, err = run(capsys, "kind", str(path))
     assert code == 2 and out == ""
     assert "SizeLimitExceeded: more than 1048576 downsets" in err
+
+
+def test_kind_size_error_states_the_count(tmp_path, capsys):
+    """The three-chain has 4 downsets and q6:0,21 has 2**22 - 1."""
+    path = tmp_path / "chain3-q6.json"
+    path.write_text(format_space(disjoint_union(nonregular_chain3(), q6(0, 21))))
+    code, out, err = run(capsys, "kind", str(path))
+    assert code == 2 and out == ""
+    assert "more than 1048576 downsets (16777212 exist)" in err
 
 
 def test_kind_reads_the_range_of_a_regular_space_off_its_width(capsys):

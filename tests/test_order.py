@@ -468,6 +468,83 @@ def test_closed_masks_match_brute_force(random_pm_space):
         assert sorted(found) == brute, rows
 
 
+def random_posets(rng, count):
+    """``count`` random orders on up to 14 points (cyclic pair lists skipped)."""
+    found = []
+    while len(found) < count:
+        n, pairs = random_pairs(rng)
+        try:
+            found.append(Poset.from_pairs(n, pairs))
+        except AntisymmetryBroken:
+            pass
+    return found
+
+
+def test_count_downsets_matches_the_listing(catalog_spaces, random_pm_space):
+    rng = random.Random(22)
+    posets = [space.poset for _, space in catalog_spaces]
+    posets += [random_pm_space(rng).poset for _ in range(60)]
+    posets += random_posets(rng, 200)
+    for poset in posets:
+        assert poset.count_downsets() == len(poset.downset_masks()), poset
+
+
+def two_level_count(space):
+    """Downsets of a two-level space: a set A of minimals, with any of the
+    maximals whose minimals below lie in A."""
+    k = space.n // 2
+    below = [space.poset.down_mask(k + j) & ~(1 << k + j) for j in range(k)]
+    return sum(2 ** sum(not row & ~a for row in below) for a in range(1 << k))
+
+
+def test_count_downsets_of_two_level_spaces():
+    rng = random.Random(23)
+    spaces = [catalog.q6(m, n) for n in range(3, 7) for m in (0, n // 2, n)]
+    spaces += [catalog.range2_grid(n) for n in range(5, 10)]
+    spaces += [catalog.crown_pair(n) for n in range(2, 4)]
+    for _ in range(40):
+        k, p = rng.randint(1, 8), rng.random()
+        edges = {(i, j) for i in range(k) for j in range(i, k) if rng.random() < p}
+        spaces.append(catalog._two_level(k, lambda i, j: (min(i, j), max(i, j)) in edges))
+    for space in spaces:
+        assert space.poset.count_downsets() == two_level_count(space)
+
+
+@pytest.mark.parametrize(
+    "build,count",
+    [
+        (lambda: catalog.q6(0, 21).poset, 4_194_303),
+        (lambda: catalog.q6(5, 40).poset, 2_199_023_255_556),
+        (lambda: catalog.range2_grid(30).poset, 2_147_483_761),
+        (lambda: Poset.chain(2000), 2001),
+        (lambda: Poset.antichain(1100), 2**1100),
+    ],
+    ids=["q6:0,21", "q6:5,40", "grid:30", "chain2000", "antichain1100"],
+)
+def test_count_downsets_past_the_listing_limit(build, count):
+    """Far past what listing reaches, and deeper than Python's recursion
+    limit on the long chain."""
+    assert build().count_downsets() == count
+
+
+def test_count_downsets_budget_bounds_the_count():
+    """Running out of budget proves more than ``limit`` downsets: a budget
+    of the count itself always suffices, and an overrun says so."""
+    rng = random.Random(25)
+    for poset in random_posets(rng, 100):
+        count = poset.count_downsets()
+        assert poset.count_downsets(limit=count) == count
+        # the budget counts branchings, so only small ones can run out
+        for limit in range(min(count, 40)):
+            try:
+                assert poset.count_downsets(limit=limit) == count
+            except SizeLimitExceeded as exc:
+                assert count > limit
+                assert str(exc).startswith(f"more than {limit} downsets")
+    with pytest.raises(SizeLimitExceeded, match="more than 5 downsets"):
+        Poset.chain(10).count_downsets(limit=5)
+
+
 @pytest.mark.parametrize("limit", ["x", -1, 1.5, True, None])
 @pytest.mark.parametrize(
     "call",
@@ -475,8 +552,9 @@ def test_closed_masks_match_brute_force(random_pm_space):
         lambda limit: Poset.antichain(3).downsets(limit=limit),
         lambda limit: dual_algebra(catalog.q(2), limit=limit),
         lambda limit: one_generator_growth(5, limit=limit),
+        lambda limit: Poset.antichain(3).count_downsets(limit=limit),
     ],
-    ids=["downsets", "dual_algebra", "growth"],
+    ids=["downsets", "dual_algebra", "growth", "count_downsets"],
 )
 def test_limit_must_be_natural(call, limit):
     with pytest.raises(BadParams, match="limit must be a natural number"):
