@@ -5,10 +5,10 @@ Six small building blocks ``q0`` .. ``q5``, the two-level bipartite family
 family ``crown_pair(n)``, closed subalgebra families on the latter two kinds
 of space, and a non-regular three-chain used as a negative control.
 
-The three parametrised families are two-level spaces on 2k points: the
-minimals at ``0..k-1`` and their involution images ``zeta(i) = k+i`` above.
-Each family is read off one symmetric relation, "minimal ``i`` lies below
-``zeta(j)``".  Index conventions (also used for the printable element names):
+The three parametrised families, and ``q1``, ``q2``, ``q4`` and ``q5``, are
+two-level spaces on 2k points: the minimals at ``0..k-1`` and their
+involution images ``zeta(i) = k+i`` above.  Each is read off one symmetric
+relation, "minimal ``i`` lies below ``zeta(j)``".  Index conventions (also used for the printable element names):
 
 * ``q6(m, n)``, k = n: minimal level ``s_0 .. s_{n-1}``; ``s_i < zeta(s_j)``
   unless ``i == j < m``, so the first ``m`` minimal elements are the ones
@@ -75,19 +75,17 @@ def q(i: int) -> Space:
 def _small(i: int) -> Space:
     if i == 0:
         return Space(Poset.antichain(1), (0,))
-    if i == 1:
-        return Space(Poset.antichain(2), (1, 0))
-    if i == 2:
-        return Space(Poset.chain(2), (1, 0))
     if i == 3:
         # 0 < 1 and 2 < 3, the chains swapped by the involution.
         return Space(Poset.from_pairs(4, [(0, 1), (2, 3)]), (3, 2, 1, 0))
+    if i == 1:
+        return _two_level(1, lambda a, b: False)
+    if i == 2:
+        return _two_level(1, lambda a, b: True)
     if i == 4:
-        # minimals 0, 1; maximals 2 = zeta(0), 3 = zeta(1); 0 is not below
-        # its own image.
-        return Space(Poset.from_pairs(4, [(0, 3), (1, 2), (1, 3)]), (2, 3, 0, 1))
-    # full bipartite relation between {0, 1} and their images.
-    return Space(Poset.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), (2, 3, 0, 1))
+        # 0 is the one minimal not below its own image.
+        return _two_level(2, lambda a, b: a != b or a >= 1)
+    return _two_level(2, lambda a, b: True)
 
 
 def _two_level(k: int, below) -> Space:

@@ -13,9 +13,9 @@ configurable node budget, so verdicts and witnesses are deterministic.  It
 checks forward on bitset domains (Haralick & Elliott 1980): every source
 point has a domain, the mask of the targets it may still take, which
 starts as its candidate mask from ``_candidates`` (narrowed by point key
-for the isomorphism test).  The domains ride down the recursion next to the
-mask of the targets used so far.  Pruning never removes the
-lexicographically first witness:
+for the isomorphism test).  Each frame of the search's explicit stack holds
+the domains next to the mask of the targets used so far.  Pruning never
+removes the lexicographically first witness:
 
 * two static candidate filters drawn from the minimal-element condition:
   ``x <= zeta(x)`` forces ``phi(x) <= zeta(phi(x))``, and ``phi(x)`` has at
@@ -57,7 +57,7 @@ from .errors import (
     SearchBudgetExceeded,
     check_natural,
 )
-from .order import check_indices, iter_bits
+from .order import Poset, check_indices, iter_bits
 from .space import Space
 
 #: Default cap on assignment attempts per search.
@@ -241,100 +241,100 @@ def _candidates(src: Space, dst: Space) -> list[int]:
     return cand
 
 
-class _Search:
+def _narrow(sp: Poset, dp: Poset, dom: list[int], free: int, x: int, t: int) -> bool:
+    """After ``x -> t``, cut the domain of every free point above ``x`` to
+    the points above ``t``, and below ``x`` to those below ``t``; False as
+    soon as a domain is empty."""
+    for row, cut in ((sp.up_mask(x), dp.up_mask(t)), (sp.down_mask(x), dp.down_mask(t))):
+        for u in iter_bits(row & free):
+            dom[u] &= cut
+            if not dom[u]:
+                return False
+    return True
+
+
+def _search(
+    src: Space, dst: Space, cand: list[int], budget: int
+) -> tuple[Optional[tuple[int, ...]], int]:
     """Backtracking core of the surjective search and the isomorphism test,
-    over the candidate masks ``cand`` it is given."""
+    over the candidate masks ``cand``: ``(witness or None, nodes)``.
 
-    def __init__(self, src: Space, dst: Space, cand: list[int], budget: int):
-        self.src = src
-        self.dst = dst
-        self.cand = cand
-        self.budget = budget
-        self.nodes = 0
-        self.deepest = 0
-        self.twin = _search_tables(dst).twin
-        # Minimal elements first: their partners' images come for free.
-        minimals = sorted(iter_bits(src.poset.minimals_mask()))
-        rest = sorted(set(range(src.n)) - set(minimals))
-        self.order = minimals + rest
-        self.mapping = [-1] * src.n
-        self.witness: Optional[tuple[int, ...]] = None
-
-    def run(self) -> bool:
-        return self._extend(0, 0, (1 << self.src.n) - 1, self.cand)
-
-    def _narrow(self, dom: list[int], free: int, x: int, t: int) -> bool:
-        """After ``x -> t``, cut the domain of every free point above ``x``
-        to the points above ``t``, and below ``x`` to those below ``t``;
-        False as soon as a domain is empty."""
-        sp, dp = self.src.poset, self.dst.poset
-        for row, cut in ((sp.up_mask(x), dp.up_mask(t)), (sp.down_mask(x), dp.down_mask(t))):
-            for u in iter_bits(row & free):
-                dom[u] &= cut
-                if not dom[u]:
-                    return False
-        return True
-
-    def _extend(self, pos: int, used: int, free: int, dom: Sequence[int]) -> bool:
-        """Extend the partial map from ``order[pos]`` on.  ``used`` is the
-        mask of the targets hit so far, ``free`` that of the unplaced points,
-        and ``dom[u]`` the targets still open to a free point ``u``;
-        ``mapping`` is up to date at the placed points only.  Every step
-        places ``x`` and ``zeta(x)`` together, so ``used`` is closed under
-        zeta, and the coverage checks made before each descent make it full
-        at a leaf."""
-        n = self.src.n
-        while pos < n and not free >> self.order[pos] & 1:
-            pos += 1
-        self.deepest = max(self.deepest, n - free.bit_count())
-        if pos == n:
-            if check_pm_morphism(self.src, self.dst, self.mapping).ok:
-                self.witness = tuple(self.mapping)
-                return True
-            return False
-        x = self.order[pos]
-        zx = self.src.zeta[x]
-        dst_zeta = self.dst.zeta
-        all_targets = (1 << self.dst.n) - 1
-        for t in iter_bits(dom[x]):
+    One loop over an explicit stack, so no depth limit applies.  A frame
+    ``(pos, used, free, dom, targets)`` is a node: ``used`` masks the targets
+    hit so far, ``free`` the unplaced points, ``dom[u]`` the targets open to
+    a free point ``u``, and ``targets`` those of ``order[pos]`` not yet tried
+    (None until the node is entered).  ``mapping`` is up to date at the
+    placed points only.  Every step places ``x`` and ``zeta(x)`` together, so
+    ``used`` is closed under zeta, and the coverage checks made before each
+    descent make it full at a leaf.
+    """
+    n = src.n
+    sp, dp = src.poset, dst.poset
+    src_zeta, dst_zeta = src.zeta, dst.zeta
+    twin = _search_tables(dst).twin
+    all_targets = dp.all_mask
+    # Minimal elements first: their partners' images come for free.
+    minimals = sorted(iter_bits(sp.minimals_mask()))
+    order = minimals + sorted(set(range(n)) - set(minimals))
+    mapping = [-1] * n
+    nodes = deepest = 0
+    stack = [(0, 0, (1 << n) - 1, cand, None)]
+    while stack:
+        pos, used, free, dom, targets = stack[-1]
+        if targets is None:
+            while pos < n and not free >> order[pos] & 1:
+                pos += 1
+            deepest = max(deepest, n - free.bit_count())
+            if pos == n:
+                if check_pm_morphism(src, dst, mapping).ok:
+                    return tuple(mapping), nodes
+                stack.pop()
+                continue
+            targets = iter_bits(dom[order[pos]])
+            stack[-1] = (pos, used, free, dom, targets)
+        x = order[pos]
+        zx = src_zeta[x]
+        for t in targets:
             tz = dst_zeta[t]
-            r = self.twin[t]
+            r = twin[t]
             if r != t and not used & (1 << t | 1 << r):
                 continue  # not an attempt: r stands for t
-            self.nodes += 1
-            if self.nodes > self.budget:
+            nodes += 1
+            if nodes > budget:
                 raise SearchBudgetExceeded(
-                    f"search exceeded {self.budget} assignment attempts"
-                    f" (deepest: {self.deepest} of {n} points)"
+                    f"search exceeded {budget} assignment attempts"
+                    f" (deepest: {deepest} of {n} points)"
                 )
             if zx == x and tz != t:
                 continue
             rest = free & ~(1 << x)
             child_dom = list(dom)
-            if not self._narrow(child_dom, rest, x, t):
+            if not _narrow(sp, dp, child_dom, rest, x, t):
                 continue
             if zx != x:
                 # The partner's domain is already narrowed by x -> t.
                 if not child_dom[zx] >> tz & 1:
                     continue
                 rest &= ~(1 << zx)
-                if not self._narrow(child_dom, rest, zx, tz):
+                if not _narrow(sp, dp, child_dom, rest, zx, tz):
                     continue
             child = used | 1 << t | 1 << tz
             # Every free point covers at most one new target, and only one
             # still in its domain.
-            if self.dst.n - child.bit_count() > rest.bit_count():
+            if dst.n - child.bit_count() > rest.bit_count():
                 continue
             reach = child
             for u in iter_bits(rest):
                 reach |= child_dom[u]
             if reach != all_targets:
                 continue
-            self.mapping[x] = t
-            self.mapping[zx] = tz
-            if self._extend(pos + 1, child, rest, child_dom):
-                return True
-        return False
+            mapping[x] = t
+            mapping[zx] = tz
+            stack.append((pos + 1, child, rest, child_dom, None))
+            break
+        else:
+            stack.pop()
+    return None, nodes
 
 
 def search_surjective(src: Space, dst: Space, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -342,10 +342,9 @@ def search_surjective(src: Space, dst: Space, budget: int = DEFAULT_BUDGET) -> S
     check_natural(budget, "budget")
     if dst.n > src.n:
         return SearchReport(False, None, 0)
-    search = _Search(src, dst, _candidates(src, dst), budget)
-    found = search.run()
-    witness = MorphismMap(src, dst, search.witness) if search.witness is not None else None
-    return SearchReport(found, witness, search.nodes)
+    witness, nodes = _search(src, dst, _candidates(src, dst), budget)
+    found = witness is not None
+    return SearchReport(found, MorphismMap(src, dst, witness) if found else None, nodes)
 
 
 def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
@@ -375,7 +374,7 @@ def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
     # same sorted down-set sizes, so the two sums are equal and each
     # inequality is an equality: phi(down x) = down(phi x).  Hence phi also
     # reflects the order, and its inverse is a structure map.
-    return _Search(a, b, cand, budget).run()
+    return _search(a, b, cand, budget)[0] is not None
 
 
 # -- specialised criteria for the two-level bipartite family -----------------

@@ -399,6 +399,20 @@ def test_every_catalog_space_validates(catalog_spaces):
 # out family by family; the catalog builds the up rows directly.
 
 
+def q_pairs(i):
+    size, pairs, zeta = [
+        (1, [], (0,)),
+        (2, [], (1, 0)),
+        (2, [(0, 1)], (1, 0)),
+        # 0 < 1 and 2 < 3, the chains swapped by the involution.
+        (4, [(0, 1), (2, 3)], (3, 2, 1, 0)),
+        # 0 is the one minimal not below its own image 2.
+        (4, [(0, 3), (1, 2), (1, 3)], (2, 3, 0, 1)),
+        (4, [(0, 2), (0, 3), (1, 2), (1, 3)], (2, 3, 0, 1)),
+    ][i]
+    return Space(Poset.from_pairs(size, pairs), zeta)
+
+
 def q6_pairs(m, n):
     pairs = [(i, n + j) for i in range(n) for j in range(n) if i != j or i >= m]
     return Space(Poset.from_pairs(2 * n, pairs), tuple(range(n, 2 * n)) + tuple(range(n)))
@@ -430,6 +444,11 @@ def disjoint_union_pairs(a, b):
     ]
     zeta = tuple(a.zeta) + tuple(shift + z for z in b.zeta)
     return Space(Poset.from_pairs(a.n + b.n, pairs), zeta)
+
+
+def test_small_spaces_match_pair_list_references():
+    for i in range(6):
+        assert catalog.q(i) == q_pairs(i), i
 
 
 def test_families_match_pair_list_references():

@@ -1,8 +1,10 @@
 """Map checking, surjective search, isomorphism, and the bipartite criteria."""
 
+import contextlib
 import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from pmkit import (
     search_surjective,
 )
 from pmkit.cli import main as cli_main
+from pmkit.document import format_space
 from pmkit.errors import BadParams, IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
 from pmkit.morphism import Q6CriteriaReport, _search_tables, q6_params_of
 from pmkit.order import iter_bits
@@ -264,6 +267,40 @@ def test_search_on_empty_spaces():
     assert (report.found, report.witness, report.nodes_explored) == (False, None, 0)
     assert is_pm_isomorphic(empty, empty)
     assert not is_pm_isomorphic(empty, catalog.nonregular_chain3())
+
+
+@contextlib.contextmanager
+def _shallow_stack():
+    """Python's recursion limit set 100 frames above the current depth, and
+    restored on exit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    """300 fixed points take 300 placements, three times the frames left.
+    Point k tries the k used targets and then k itself."""
+    space = Space(Poset.antichain(300), range(300))
+    with _shallow_stack():
+        report = search_surjective(space, space)
+        assert is_pm_isomorphic(space, space)
+    assert report.found and report.witness.mapping == tuple(range(300))
+    assert report.nodes_explored == 45_150
+
+
+def test_cli_iso_depth_is_not_bounded_by_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "fixed.json"
+    path.write_text(format_space(Space(Poset.antichain(300), range(300))))
+    with _shallow_stack():
+        code = cli_main(["iso", str(path), str(path)])
+    assert (code, capsys.readouterr().out) == (0, "isomorphic: true\n")
 
 
 @pytest.mark.parametrize("budget", [-3, 1.5, True, "10", None])
