@@ -27,6 +27,10 @@ removes the lexicographically first witness:
 * coverage: a branch ends when the used targets and the open domains
   together miss a target, or when fewer points are free than targets are
   unused;
+* root refutation: the same check made once before the first placement.
+  A question ends with no attempt, and 0 nodes, when some candidate mask
+  is empty or the masks together miss a target; so no budget, not even 0,
+  is exceeded on it;
 * twin value-symmetry breaking: targets ``t < t'`` are twins when the swap
   ``(t t')(zeta t, zeta t')`` is an automorphism of the target.  Let ``t``
   be the least twin of ``t'``.  While ``t``, ``t'`` and their partners are
@@ -268,11 +272,20 @@ def _search(
     ``used`` is closed under zeta, and the coverage checks made before each
     descent make it full at a leaf.
     """
+    all_targets = dst.poset.all_mask
+    # The coverage check of every descent, made once before the first
+    # placement: no attempt is made on a question it refutes.
+    reach = 0
+    for c in cand:
+        if not c:
+            return None, 0
+        reach |= c
+    if reach != all_targets:
+        return None, 0
     n = src.n
     sp, dp = src.poset, dst.poset
     src_zeta, dst_zeta = src.zeta, dst.zeta
     twin = _search_tables(dst).twin
-    all_targets = dp.all_mask
     # Minimal elements first: their partners' images come for free.
     minimals = sorted(iter_bits(sp.minimals_mask()))
     order = minimals + sorted(set(range(n)) - set(minimals))

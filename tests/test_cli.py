@@ -315,6 +315,14 @@ def test_budget_env_override(capsys, monkeypatch):
     assert "SearchBudgetExceeded" in err
 
 
+def test_budget_zero_answers_a_question_refuted_at_the_root(capsys, monkeypatch):
+    """The candidate masks refute q6:7,7 onto q6:3,7 before any attempt."""
+    monkeypatch.setenv("PMKIT_BUDGET", "0")
+    code, out, err = run(capsys, "morphism", "q6:7,7", "q6:3,7")
+    assert code == 1 and err == ""
+    assert out.splitlines() == ["found: false", "nodes: 0"]
+
+
 def test_budget_env_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv("PMKIT_BUDGET", "lots")
     code, _, err = run(capsys, "morphism", "q2", "q0")

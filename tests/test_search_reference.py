@@ -275,3 +275,28 @@ def test_iso_and_search_interleaved_give_the_same_reports(random_pm_space):
         assert search_surjective(a, b) == report
         assert is_pm_isomorphic(b, a) == same
         assert search_surjective(a, b) == report
+
+
+def assert_zero_node_verdicts_are_negative(spaces):
+    """Every question the search decides without an attempt, at the root or
+    by size, is negative under the reference search; returns how many."""
+    decided = 0
+    for (a_name, a), (b_name, b) in itertools.product(spaces, repeat=2):
+        report = search_surjective(a, b)
+        if report.nodes_explored == 0 and not report.found:
+            assert reference_search(a, b)[0] is False, (a_name, b_name)
+            decided += 1
+    return decided
+
+
+def test_questions_decided_at_the_root_are_negative_on_catalog_pairs():
+    spaces = catalog_spaces() + [("empty", Space(Poset.antichain(0), ()))]
+    assert assert_zero_node_verdicts_are_negative(spaces) > len(spaces)
+
+
+def test_questions_decided_at_the_root_are_negative_on_random_pm_spaces(random_pm_space):
+    rng = random.Random(29)
+    spaces = [(i, random_pm_space(rng)) for i in range(60)]
+    spaces.append(("empty", Space(Poset.antichain(0), ())))
+    assert any(s.zeta[x] == x for _, s in spaces for x in range(s.n))
+    assert assert_zero_node_verdicts_are_negative(spaces) > len(spaces)
