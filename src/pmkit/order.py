@@ -51,7 +51,7 @@ def canonical_sort(masks: Iterable[int], n: int) -> list[int]:
     return out
 
 
-def closed_masks(rows: Sequence[int], limit: int, what: str) -> list[int]:
+def closed_masks(rows: Sequence[int], limit: int, what: str) -> tuple[int, ...]:
     """Every mask ``y`` with ``rows[i] <= y`` for each point ``i`` of ``y``,
     where ``rows[i]`` holds ``i`` and ``k`` in ``rows[i]`` gives ``rows[k] <=
     rows[i]``.  Such a family is closed under union and intersection, and
@@ -62,17 +62,21 @@ def closed_masks(rows: Sequence[int], limit: int, what: str) -> list[int]:
     # A mask is smaller than its proper supersets, so along the distinct rows in
     # increasing order the closed sets of each prefix are those of the previous
     # one, and their unions with the new row where they hold its points seen so
-    # far.  The row's unseen points are its class, those sharing the row.
+    # far.  The row's unseen points are its class, those sharing the row.  A
+    # row with no point seen so far extends every set, with no test at all.
     found, seen = [0], 0
     for row in sorted(set(rows)):
         if len(found) > limit:
             break
         below = row & seen
-        found += [m | row for m in found if not below & ~m]
+        if below:
+            found += [m | row for m in found if m & below == below]
+        else:
+            found += [m | row for m in found]
         seen |= row
     if len(found) > limit:
         raise SizeLimitExceeded(f"more than {limit} {what}; raise the limit to proceed")
-    return found
+    return tuple(found)
 
 
 @total_ordering

@@ -103,9 +103,12 @@ class Space:
         closure are answered on the space alone."""
         up, zeta_bits, top = self.poset._up, self._zeta_bits, self.poset._all
         covered = image = 0
-        for i in iter_bits(mask):
+        while mask:
+            low = mask & -mask
+            i = low.bit_length() - 1
             covered |= up[i]
             image |= zeta_bits[i]
+            mask ^= low
         return top & ~covered, top & ~image
 
     # -- classification ----------------------------------------------------

@@ -5,25 +5,28 @@ The closure works on element masks, with the space's own star and prime
 containing each point.  Those least members fix the generated
 {0,1}-sublattice (its members are exactly their unions), so closing under
 the two unary operations only needs each distinct least member checked
-once.  The members are listed from those least members by
-:func:`~pmkit.order.closed_masks`, and stay masks: a
-:class:`ClosureResult` makes frozensets, in the canonical order, only when
-its ``generated`` tuple is first read.  Growth experiments on the width-2
-grid family show one generator producing at least ``n`` elements, the
-finite shadow of a free algebra being infinite; they run the closure on
-the space alone and never enumerate the downset algebra.
+once.  The closure runs in rounds: a round takes the star and prime of the
+least members not yet checked, then applies each distinct image not
+applied before, in one scan of its points that both tests and refines.
+The members are listed from the least members by
+:func:`~pmkit.order.closed_masks`, and stay masks: a :class:`ClosureResult`
+keeps the listing's tuple and makes frozensets, in the canonical order,
+only when its ``generated`` tuple is first read.  Growth experiments on the
+width-2 grid family show one generator producing at least ``n`` elements,
+the finite shadow of a free algebra being infinite; they run the closure
+on the space alone and never enumerate the downset algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Collection, Iterable
 
 from . import catalog
 from .algebra import Algebra, dual_algebra
 from .errors import BadParams, NotAnElement, Overflow, check_natural
-from .order import DOWNSET_LIMIT, Poset, canonical_sort, closed_masks, iter_bits
+from .order import DOWNSET_LIMIT, Poset, canonical_sort, closed_masks
 from .space import Space
 
 
@@ -34,17 +37,18 @@ class ClosureResult:
     The members are kept as the bitmasks of their points.  ``generated``
     lists them as frozensets, in the canonical element order, on first read
     and keeps the tuple; ``len()``, equality, ``generator_count`` and
-    ``op_applications`` make no frozensets.  Equality compares the member
-    masks, the generator count and the op applications.  The hash is that
-    of the tuple ``(generated, generator_count, op_applications)``, so
+    ``op_applications`` make no frozensets.  Equality compares the sets of
+    member masks, the generator count and the op applications.  The hash is
+    that of the tuple ``(generated, generator_count, op_applications)``, so
     hashing lists.
 
     ``op_applications`` counts the star and prime evaluations and the joins
     made by the closure.
     """
 
-    # The set is kept as handed over, without a copy; nothing mutates it.
-    _masks: set[int]
+    # The masks are kept as handed over, in the listing's order, without a
+    # copy; nothing mutates them.
+    _masks: Collection[int]
     generator_count: int
     op_applications: int
 
@@ -57,6 +61,15 @@ class ClosureResult:
 
     def __len__(self) -> int:
         return len(self._masks)
+
+    def __eq__(self, other):
+        if not isinstance(other, ClosureResult):
+            return NotImplemented
+        return (
+            self.generator_count == other.generator_count
+            and self.op_applications == other.op_applications
+            and set(self._masks) == set(other._masks)
+        )
 
     def __hash__(self):
         return hash((self.generated, self.generator_count, self.op_applications))
@@ -81,28 +94,42 @@ def _close(space: Space, gens: list[int], limit: int) -> ClosureResult:
     # unions, and a mask y is a member iff least[i] <= y for every i in y.
     least = [top] * space.n
     checked: set[int] = set()
-    count = 0
+    applied: set[int] = set()
 
-    def refine(g: int) -> None:
-        for i in iter_bits(g):
-            least[i] &= g
+    def apply(images: set[int]) -> None:
+        applied.update(images)
+        for y in images:
+            # One scan of y's points tests and refines.  A point whose block
+            # already lies in y needs nothing, and nor do that block's points,
+            # whose own blocks lie in it.
+            rest, outside = y, top ^ y
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                block = least[i]
+                if block & outside:
+                    least[i] = block & y
+                    rest ^= low
+                else:
+                    rest ^= rest & block
 
-    for g in gens:
-        refine(g)
+    apply(set(gens))
     # Star and prime turn joins into meets ((a | b)* = a* & b* and
     # (a | b)' = a' & b'), so the lattice is closed under both once the
     # images of every block are members.  Members only accumulate, so a
-    # block that passed once stays passed.
+    # block that passed once stays passed, and an image applied once stays
+    # a member: each distinct image is applied once.  A round collects the
+    # images of all its fresh blocks before applying any.  The blocks a
+    # round leaves do not depend on the order its images are applied in, so
+    # every round's fresh blocks are those of applying each image as soon
+    # as it is made, and so are the op applications counted from them.
     while fresh := set(least) - checked:
-        for block in fresh:
-            checked.add(block)
-            count += 2
-            for y in space.star_prime(block):
-                if any(least[i] & ~y for i in iter_bits(y)):
-                    refine(y)
-    # one join per member listed, past the empty union
+        checked |= fresh
+        apply({y for block in fresh for y in space.star_prime(block)} - applied)
+    # a star and a prime per block checked, and one join per member listed
+    # past the empty union
     found = closed_masks(least, limit, "subalgebra members")
-    return ClosureResult(set(found), len(gens), count + len(found) - 1)
+    return ClosureResult(found, len(gens), 2 * len(checked) + len(found) - 1)
 
 
 def generate_subalgebra(algebra: Algebra, gens: Iterable[Iterable[int]]) -> ClosureResult:

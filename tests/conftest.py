@@ -1,6 +1,7 @@
 import pytest
 
 from pmkit import Poset, Space, acceptance, dual_algebra, generate_subalgebra
+from pmkit.order import iter_bits
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +55,20 @@ def random_pm_space():
         return Space(Poset.from_pairs(2 * k + fixed, pairs), zeta)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    """``relabel(space, perm)``: the copy of ``space`` in which point ``i``
+    is called ``perm[i]``."""
+
+    def copy(space, perm):
+        up = [0] * space.n
+        for i in range(space.n):
+            up[perm[i]] = sum(1 << perm[j] for j in iter_bits(space.poset.up_mask(i)))
+        zeta = [0] * space.n
+        for i in range(space.n):
+            zeta[perm[i]] = perm[space.zeta[i]]
+        return Space(Poset(up), zeta)
+
+    return copy

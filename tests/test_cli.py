@@ -214,6 +214,12 @@ def test_subalg(capsys):
     assert size >= 5
 
 
+def test_subalg_prints_the_closure_counts(capsys):
+    code, out, err = run(capsys, "subalg", "grid:7", "--gens", "x0")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["size: 277", "op_applications: 334"]
+
+
 def test_subalg_repeated_flags_accumulate(capsys):
     code, out, _ = run(
         capsys, "subalg", "grid:5", "--gens", "x0", "--gens", "x1,x2"

@@ -466,6 +466,21 @@ def test_closed_masks_match_brute_force(random_pm_space):
             if all(not rows[i] & ~y for i in iter_bits(y))
         ]
         assert sorted(found) == brute, rows
+    # Rows wider than a machine word.  A chain's rows each hold the previous
+    # one (the points seen so far are never disjoint from the row); an
+    # antichain's rows are disjoint (no point of a row was seen before).
+    chain = Poset.chain(100)
+    found = closed_masks([chain.down_mask(i) for i in range(100)], 1 << 10, "downsets")
+    assert sorted(found) == [(1 << k) - 1 for k in range(101)]
+    antichain = Poset.antichain(70)
+    with pytest.raises(SizeLimitExceeded, match="^more than 1000 downsets; "):
+        closed_masks([antichain.down_mask(i) for i in range(70)], 1000, "downsets")
+    # a 66-chain below four free points past bit 64 mixes both kinds of row
+    rows = [(1 << i + 1) - 1 for i in range(66)] + [1 << i for i in range(66, 70)]
+    found = closed_masks(rows, 1 << 11, "sets")
+    assert sorted(found) == sorted(
+        (1 << k) - 1 | free << 66 for k in range(67) for free in range(16)
+    )
 
 
 def random_posets(rng, count):

@@ -235,6 +235,33 @@ def test_closure_matches_saturation_reference(random_pm_space):
             assert fast.generator_count == slow.generator_count
 
 
+def test_closure_matches_saturation_on_relabelled_grids(relabel):
+    """The benchmark's inputs in small: seeded relabellings of the width-2
+    grid, closed from ``{x0}`` (the whole algebra) and from 2-3 drawn
+    generators, equal the pairwise saturation element for element."""
+    rng = random.Random(38)
+    for n in (5, 6):
+        for _ in range(3):
+            perm = rng.sample(range(2 * n), 2 * n)
+            algebra = dual_algebra(relabel(catalog.range2_grid(n), perm))
+            pool = list(algebra.elements)
+            gen_sets = [[fs(perm[0])]] + [rng.sample(pool, rng.randint(2, 3)) for _ in range(4)]
+            for gens in gen_sets:
+                fast = generate_subalgebra(algebra, gens)
+                slow = saturate(algebra, gens)
+                assert fast.generated == slow.generated, (n, perm, gens)
+                assert fast.generator_count == slow.generator_count
+
+
+@pytest.mark.parametrize("n,size,ops", [(5, 77, 114), (7, 277, 334), (10, 2081, 2168)])
+def test_closure_counts_are_pinned(n, size, ops):
+    """``{x0}`` closes to the whole grid algebra.  ``op_applications`` is two
+    per distinct least member checked plus one join per member listed past
+    the empty union, whatever order the closure applies the images in."""
+    result = generate_subalgebra(dual_algebra(catalog.range2_grid(n)), [fs(0)])
+    assert (len(result), result.op_applications) == (size, ops)
+
+
 # -- growth in the grid family -------------------------------------------------------
 
 
