@@ -44,7 +44,6 @@ from .subalgebra import (
 from .variety import (
     SimpleRef,
     VarietyLattice,
-    distinct_varieties,
     is_member,
     l6_member,
     l6_member_oracle,
@@ -73,7 +72,6 @@ __all__ = [
     "crown_bound_check",
     "crown_pair",
     "disjoint_union",
-    "distinct_varieties",
     "dual_algebra",
     "format_space",
     "generate_subalgebra",

@@ -255,8 +255,8 @@ def criterion_regularity_quadruple(budget: int = DEFAULT_BUDGET):
 def criterion_q6_criteria_equivalence(budget: int = DEFAULT_BUDGET):
     """The four-clause criteria equal (morphism and surjective) for every
     equivariant total map between small bipartite spaces."""
-    # The catalog shares one object per space while in use, so the shape
-    # cache of the criteria hits by identity, in this call and the next.
+    # The catalog keeps one object per space, so the q6 shape the criteria
+    # read is worked out once per space and kept on it, across calls.
     spaces = [(m, n, catalog.q6(m, n)) for n in (3, 4) for m in range(n + 1)]
     checked = 0
     for m, n, src in spaces:

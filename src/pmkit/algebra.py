@@ -100,11 +100,6 @@ class Algebra:
             xs = list(xs)
         raise NotAnElement(f"{xs} is not a downset of this space")
 
-    def index_of(self, xs: Iterable[int]) -> int:
-        """Position of the element in the canonical order; lists the
-        elements on first use."""
-        return self._index[self.mask_of(xs)]
-
     # -- operations ----------------------------------------------------------
 
     def _prime_star(self, mask: int) -> int:
@@ -124,9 +119,6 @@ class Algebra:
     def plus(self, xs: Iterable[int]) -> frozenset[int]:
         """Dual pseudocomplement, as the composite prime-star-prime."""
         return Poset.set_of(self._plus(self.mask_of(xs)))
-
-    def prime_star(self, xs: Iterable[int]) -> frozenset[int]:
-        return Poset.set_of(self._prime_star(self.mask_of(xs)))
 
     def range_iterate(self, xs: Iterable[int], k: int) -> frozenset[int]:
         """Apply the prime-star step ``k`` times."""
@@ -189,12 +181,6 @@ class Algebra:
         return self.space.congruence_sets()
 
     # -- duality round trip ----------------------------------------------------
-
-    def point_ideal(self, x: int) -> frozenset[int]:
-        """Indices of the elements avoiding point ``x`` (a prime ideal);
-        lists the elements on first use."""
-        bit = self.space.poset.mask_of((x,))
-        return frozenset(i for i, m in enumerate(self._index) if not m & bit)
 
     def reconstruct_space(self) -> Space:
         """Rebuild a space from the algebra: points are the per-point prime

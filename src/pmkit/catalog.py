@@ -22,10 +22,11 @@ relation, "minimal ``i`` lies below ``zeta(j)``".  Index conventions (also used 
   ``zeta(b_j)``, and the mixed relations hold exactly when the indices
   differ.
 
-Each family returns one shared instance per parameter set while in use:
-valid parameters are looked up in a weak dictionary keyed by the family and
-the parameters, so caches keyed by space (the search tables, the q6 shape)
-hit by identity across calls.  A space lives as long as something holds it.
+Each family returns one shared instance per parameter set: valid
+parameters are looked up in a dictionary keyed by the family and the
+parameters, which keeps every space it hands out for the life of the
+process.  So the facts kept on a space (the search tables, the q6 shape)
+are worked out once per parameter set.
 
 ``named_space`` resolves a catalog token to a space and its element names.
 The parametrised families are read off one token table, ``FAMILIES``,
@@ -34,8 +35,6 @@ name prefix of each block of points and the usage text of its errors.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from .errors import (
     BadParams,
@@ -50,11 +49,11 @@ from .space import Space
 
 
 #: The shared spaces, keyed by ``(family, *params)`` with validated params.
-_SHARED: weakref.WeakValueDictionary[tuple, Space] = weakref.WeakValueDictionary()
+_SHARED: dict[tuple, Space] = {}
 
 
 def _shared(key: tuple, build, *args) -> Space:
-    """The live space under ``key``, or ``build(*args)`` stored under it.
+    """The space under ``key``, or ``build(*args)`` stored under it.
     Callers validate the parameters first: ``1 == 1.0 == True`` as keys."""
     space = _SHARED.get(key)
     if space is None:

@@ -209,9 +209,8 @@ def cmd_subalg(args) -> int:
 
 
 def cmd_grow(args) -> int:
-    # resolved as its token, the grid is capped like any catalog space; held
-    # here, it is the shared instance the growth then closes on
-    grid = catalog.named_space(f"grid:{args.n}")
+    # resolved as its token, the grid is capped like any catalog space
+    catalog.named_space(f"grid:{args.n}")
     size = one_generator_growth(args.n)
     print(f"size: {size}")
     print(f"bound: {args.n}")

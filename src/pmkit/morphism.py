@@ -52,7 +52,6 @@ validator used for standalone checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -62,14 +61,10 @@ from .errors import (
     check_natural,
 )
 from .order import Poset, check_indices, iter_bits
-from .space import Space
+from .space import Space, per_space
 
 #: Default cap on assignment attempts per search.
 DEFAULT_BUDGET = 10**8
-
-#: Spaces whose search tables are remembered: enough for every source and
-#: target of a few hundred searches asked over and over.
-_TABLES_CACHE_SIZE = 1024
 
 
 def _images(src: Space, dst: Space, mapping: Sequence[int]) -> tuple[int, ...]:
@@ -94,9 +89,6 @@ class MorphismMap:
 
     def check(self) -> "MorphismCheck":
         return check_pm_morphism(self.src, self.dst, self.mapping)
-
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.dst.n
 
 
 @dataclass(frozen=True)
@@ -183,13 +175,14 @@ def _is_twin_swap(space: Space, t: int, u: int) -> bool:
     return image(up_t) == up_u and image(down_t) == down_u
 
 
-@lru_cache(maxsize=_TABLES_CACHE_SIZE)
+@per_space
 def _search_tables(space: Space) -> _Tables:
     """The candidate filters, the key and the twins of every point of ``space``.
 
-    Cached per space, which is sound because spaces are immutable.  Being
-    twins is an equivalence, so each point is tested against the
-    representatives found so far, and only against those with the same key.
+    Kept on the space (:func:`~pmkit.space.per_space`), so an equal but
+    distinct space computes its own equal tables.  Being twins is an
+    equivalence, so each point is tested against the representatives found
+    so far, and only against those with the same key.
     """
     p, zeta = space.poset, space.zeta
     minimals = p.minimals_mask()
@@ -392,18 +385,14 @@ def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
 
 # -- specialised criteria for the two-level bipartite family -----------------
 
-#: Spaces whose q6 shape is remembered; a criteria sweep revisits a handful.
-_Q6_SHAPE_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_Q6_SHAPE_CACHE_SIZE)
+@per_space
 def _q6_shape(space: Space) -> tuple[int, int, int, tuple[tuple[int, int, bool], ...]]:
     """``(n, minimals mask, exceptions mask, level)`` of a q6-shaped space,
     where ``level`` lists ``(x, zeta(x), x is an exception)`` over the
     minimals ``x`` in increasing order.
 
-    Cached per space, which is sound because spaces are immutable; a shape
-    mismatch raises :class:`NotQ6Shaped` and is not cached.
+    Kept on the space (:func:`~pmkit.space.per_space`); a shape mismatch
+    raises :class:`NotQ6Shaped` on every call and is not kept.
     """
     p, zeta = space.poset, space.zeta
     minimals, maximals = p.minimals_mask(), p.maximals_mask()
@@ -424,17 +413,6 @@ def _q6_shape(space: Space) -> tuple[int, int, int, tuple[tuple[int, int, bool],
             exceptions |= 1 << x
     level = tuple((x, zeta[x], bool(exceptions >> x & 1)) for x in iter_bits(minimals))
     return n, minimals, exceptions, level
-
-
-def q6_params_of(space: Space) -> tuple[int, int, frozenset[int]]:
-    """Recognise a two-level bipartite space of the ``q6`` kind.
-
-    Returns ``(m, n, minimal_exceptions)`` where the exceptions are the
-    minimal elements not below their own involution image.  Raises
-    :class:`NotQ6Shaped` when the space does not match.
-    """
-    n, _, exceptions, _ = _q6_shape(space)
-    return exceptions.bit_count(), n, frozenset(iter_bits(exceptions))
 
 
 class Q6CriteriaReport(NamedTuple):

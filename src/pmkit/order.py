@@ -97,10 +97,6 @@ class Distance:
     def __setattr__(self, name, val):
         raise AttributeError("Distance is immutable")
 
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
     @staticmethod
     def _coerce(other):
         if isinstance(other, Distance):
@@ -308,7 +304,11 @@ class Poset:
         """Build from order-generating pairs ``(a, b)`` meaning ``a <= b``."""
         check_natural(n, "n")
         up = [1 << i for i in range(n)]
-        for a, b in pairs:
+        for pair in pairs:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise IndexOutOfRange(f"pair {pair!r} is not a pair of points") from None
             if not (is_index(a, n) and is_index(b, n)):
                 raise IndexOutOfRange(f"pair ({a!r}, {b!r}) out of range for n={n}")
             up[a] |= 1 << b
@@ -360,13 +360,6 @@ class Poset:
         mask = 0
         for x in check_indices(xs, self.n):
             mask |= self._down[x]
-        return self.set_of(mask)
-
-    def up_closure(self, xs: Iterable[int]) -> frozenset[int]:
-        """All elements above some member of ``xs``."""
-        mask = 0
-        for x in check_indices(xs, self.n):
-            mask |= self._up[x]
         return self.set_of(mask)
 
     def is_decreasing(self, xs: Iterable[int]) -> bool:
@@ -435,12 +428,6 @@ class Poset:
                 break
             reached |= frontier
         return reached
-
-    def ball(self, x: int, radius: int) -> frozenset[int]:
-        """All elements at distance at most ``radius`` from ``x``."""
-        check_indices((x,), self.n)
-        check_natural(radius, "radius")
-        return self.set_of(self._within(1 << x, radius))
 
     def _component_masks(self) -> Iterator[int]:
         """Masks of the comparability components, by least element."""

@@ -4,11 +4,16 @@ A :class:`Space` is the finite (hence discrete) form of the dual structure
 of a pseudocomplemented de Morgan algebra.  Validation is eager: an invalid
 involution is rejected at construction, so every downstream operation may
 assume a legal space.
+
+A fact derived from a space alone, such as the search tables, is kept on
+the space it describes (:func:`per_space`), so it lives exactly as long as
+the space does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -20,6 +25,27 @@ from .errors import (
 )
 from .order import DOWNSET_LIMIT, Distance, Poset, canonical_sort, closed_masks
 from .order import check_indices, is_index, iter_bits
+
+
+def per_space(compute):
+    """``compute(space)``, worked out on first use and kept on the space.
+
+    Sound because a space is immutable.  An exception is not kept, so a
+    refusal is raised again on every call.  Two threads racing on a new
+    space may both compute the fact; the results are equal, and one of them
+    is kept.
+    """
+
+    @wraps(compute)
+    def fact(space):
+        facts = space._facts
+        try:
+            return facts[compute]
+        except KeyError:
+            value = facts[compute] = compute(space)
+            return value
+
+    return fact
 
 
 @dataclass(frozen=True)
@@ -34,10 +60,13 @@ class SpaceKind:
 class Space:
     """A finite poset with an involution ``zeta`` that reverses the order."""
 
-    __slots__ = ("poset", "zeta", "_zeta_bits", "_hash", "__weakref__")
+    __slots__ = ("poset", "zeta", "_zeta_bits", "_hash", "_facts", "__weakref__")
 
     def __init__(self, poset: Poset, zeta: Sequence[int]):
-        zeta = tuple(zeta)
+        try:
+            zeta = tuple(zeta)
+        except TypeError:
+            raise IndexOutOfRange(f"zeta must be a sequence of points, got {zeta!r}") from None
         n = poset.n
         if len(zeta) != n or not all(is_index(z, n) for z in zeta):
             raise IndexOutOfRange("zeta must be a permutation of 0..n-1")
@@ -65,6 +94,7 @@ class Space:
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "_zeta_bits", zeta_bits)
         object.__setattr__(self, "_hash", hash((poset, zeta)))
+        object.__setattr__(self, "_facts", {})
 
     def __setattr__(self, name, val):
         raise AttributeError("Space is immutable")

@@ -15,7 +15,7 @@ from mask rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import catalog
 from .errors import BadLabel, NotRegular
@@ -181,22 +181,3 @@ def subvariety_lattice(
             up[class_of[i]] |= 1 << class_of[j]
     order = Poset(up)
     return VarietyLattice(gens, tuple(classes), order, tuple(order.downsets()))
-
-
-def distinct_varieties(labels: Iterable[tuple[int, int]]) -> bool:
-    """For diagonal labels ``(n, n)``: do distinct subsets always generate
-    distinct varieties?  Reduces to mutual non-embeddability of distinct
-    diagonal members."""
-    labels = list(labels)
-    for label in labels:
-        try:
-            n, n2 = label
-        except (TypeError, ValueError):
-            raise BadLabel(f"labels are pairs (n, n), got {label!r}") from None
-        if n != n2:
-            raise BadLabel(f"diagonal labels only, got ({n}, {n2})")
-        _check_label(n, n)
-    for (n, _), (m, _) in ((a, b) for a in labels for b in labels):
-        if l6_member(n, n, m, m) != (n == m):
-            return False
-    return True

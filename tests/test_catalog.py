@@ -2,11 +2,13 @@
 
 import gc
 import itertools
+import sys
+import threading
 import weakref
 
 import pytest
 
-from pmkit import Poset, Space, catalog, dual_algebra, is_pm_isomorphic
+from pmkit import Poset, Space, catalog, dual_algebra, is_pm_isomorphic, search_surjective
 from pmkit.document import MAX_ELEMENTS
 from pmkit.errors import (
     BadParams,
@@ -14,6 +16,7 @@ from pmkit.errors import (
     NotBooleanSubalgebra,
     PairedSingletonViolation,
 )
+from pmkit.morphism import _search_tables
 from pmkit.subalgebra import generate_subalgebra, is_closed_family, one_generator_growth
 
 
@@ -91,13 +94,63 @@ def test_families_share_one_space_per_valid_parameter_set():
     assert catalog.q6(1, 4) is not catalog.q6(2, 4)
 
 
-def test_shared_spaces_are_not_kept_alive_by_the_catalog():
-    """Sharing holds spaces weakly: one nobody holds is freed."""
+# -- lifetimes: a derived fact lives on the space it describes -------------------
+
+
+def test_the_catalog_keeps_its_spaces():
+    """The catalog holds its spaces: a parameter set asked for again after
+    the caller dropped its space gets the same object."""
     space = catalog.q6(7, 13)
     ref = weakref.ref(space)
     del space
     gc.collect()
+    assert ref() is catalog.q6(7, 13)
+
+
+def test_a_searched_space_outside_the_catalog_is_freed(relabel):
+    """Searching keeps nothing alive: the tables of a space that is not in
+    the catalog go with the space."""
+    space = relabel(catalog.q6(2, 5), [3, 0, 9, 1, 4, 8, 5, 2, 7, 6])
+    ref = weakref.ref(space)
+    search_surjective(catalog.q6(3, 5), space)
+    del space
+    gc.collect()
     assert ref() is None
+
+
+def test_search_tables_are_kept_per_space(relabel):
+    """A space computes its tables once; an equal but distinct copy computes
+    its own, equal ones."""
+    space = catalog.crown_pair(3)
+    copy = relabel(space, range(space.n))
+    assert copy == space and copy is not space
+    assert _search_tables(space) is _search_tables(space)
+    assert _search_tables(copy) is _search_tables(copy)
+    assert _search_tables(copy) == _search_tables(space)
+    assert _search_tables(copy) is not _search_tables(space)
+
+
+def test_threads_racing_on_a_new_space_get_equal_facts(relabel):
+    """Threads asking a new space for its tables at once may each compute
+    them; every result is equal, and later calls read one of them."""
+    space = relabel(catalog.crown_pair(4), range(16))
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(_search_tables(space)))
+        for _ in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8 and all(tables == results[0] for tables in results)
+    assert any(_search_tables(space) is tables for tables in results)
 
 
 def test_q_kleene_split():
@@ -158,9 +211,11 @@ def test_q6_up_closure_rule():
             space = catalog.q6(m, n)
             minimal_level = frozenset(range(n))
             maximal_level = frozenset(range(n, 2 * n))
-            for xs in dual_algebra(space).elements:
+            algebra = dual_algebra(space)
+            for xs in algebra.elements:
                 if len(xs & minimal_level) >= 2:
-                    assert space.poset.up_closure(xs) == xs | maximal_level
+                    # the up-closure is the complement of the pseudocomplement
+                    assert algebra.one - algebra.star(xs) == xs | maximal_level
 
 
 def test_q6_isomorphism_classification():

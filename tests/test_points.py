@@ -25,7 +25,6 @@ ENTRIES = {
     "leq-right": (IndexOutOfRange, lambda bad: SRC.poset.leq(0, bad)),
     "mask_of": (IndexOutOfRange, lambda bad: SRC.poset.mask_of([0, bad])),
     "down_closure": (IndexOutOfRange, lambda bad: SRC.poset.down_closure([bad])),
-    "up_closure": (IndexOutOfRange, lambda bad: SRC.poset.up_closure([bad])),
     "is_decreasing": (IndexOutOfRange, lambda bad: SRC.poset.is_decreasing([bad])),
     "min_below": (IndexOutOfRange, lambda bad: SRC.poset.min_below(bad)),
     "distance-left": (IndexOutOfRange, lambda bad: SRC.poset.distance(bad, 0)),
@@ -33,7 +32,6 @@ ENTRIES = {
     "distance_to_set-point": (IndexOutOfRange, lambda bad: SRC.poset.distance_to_set(bad, [0])),
     "distance_to_set-set": (IndexOutOfRange, lambda bad: SRC.poset.distance_to_set(0, [bad])),
     "distance_levels": (IndexOutOfRange, lambda bad: SRC.poset.distance_levels([bad])),
-    "ball": (IndexOutOfRange, lambda bad: SRC.poset.ball(bad, 1)),
     "zeta_image": (IndexOutOfRange, lambda bad: SRC.zeta_image([bad])),
     "zeta_distance-left": (IndexOutOfRange, lambda bad: SRC.zeta_distance(bad, 0)),
     "zeta_distance-right": (IndexOutOfRange, lambda bad: SRC.zeta_distance(0, bad)),
@@ -46,7 +44,7 @@ ENTRIES = {
         IndexOutOfRange, lambda bad: check_q6_criteria(SRC, DST, (bad, 1, 2, 4, 4, 5))
     ),
     "Algebra.star": (NotAnElement, lambda bad: dual_algebra(SRC).star([bad])),
-    "Algebra.index_of": (NotAnElement, lambda bad: dual_algebra(SRC).index_of([bad])),
+    "Algebra.mask_of": (NotAnElement, lambda bad: dual_algebra(SRC).mask_of([bad])),
 }
 
 
@@ -63,6 +61,24 @@ def test_every_point_entry_takes_the_point_itself(entry):
     """The same calls with the plain int 1 go through: the refusals above
     are for the kind of value, not for the point."""
     ENTRIES[entry][1](1)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Poset.from_pairs(2, [(0,)]), "pair (0,) is not a pair of points"),
+        (lambda: Poset.from_pairs(2, [0]), "pair 0 is not a pair of points"),
+        (lambda: Poset.from_pairs(2, [(0, 1, 1)]), "pair (0, 1, 1) is not a pair of points"),
+        (lambda: Space(Poset.antichain(1), 0), "zeta must be a sequence of points, got 0"),
+    ],
+    ids=["short-pair", "no-pair", "long-pair", "no-involution"],
+)
+def test_malformed_construction_raises_a_typed_error(build, message):
+    """Construction holds to the rule too: an entry that is no pair, or an
+    involution that is no sequence, is named in an ``IndexOutOfRange``."""
+    with pytest.raises(IndexOutOfRange) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_the_check_names_the_first_bad_member():

@@ -192,14 +192,14 @@ def test_width_and_mn_match_pairwise_definitions(regular_spaces):
     """One distance sweep per point gives what the pairwise definitions
     give, also where points lie in different components."""
     union = catalog.disjoint_union(catalog.q(3), catalog.range2_grid(5))
-    assert not union.poset.distance(0, union.n - 1).is_finite
+    assert union.poset.distance(0, union.n - 1).value is None
     for name, space in regular_spaces + [("q3+grid:5", union)]:
         n, p, zeta = space.n, space.poset, space.zeta
         finite = [
             d.value
             for x in range(n)
             for y in range(n)
-            if (d := space.zeta_distance(x, y)).is_finite
+            if (d := space.zeta_distance(x, y)).value is not None
         ]
         assert space.zeta_width() == max(finite, default=0), name
         for bound in range(4):
@@ -232,16 +232,11 @@ def zeta_rows(space):
 
 
 def ref_zeta_width(space):
-    return max((d.value for row in zeta_rows(space) for d in row if d.is_finite), default=0)
+    return max((d.value for row in zeta_rows(space) for d in row if d.value is not None), default=0)
 
 
 def ref_simple_in_mn(space, bound):
     return all(d <= bound for row in zeta_rows(space) for d in row)
-
-
-def ref_ball(poset, x, radius):
-    levels = poset.distance_levels((x,))
-    return frozenset(y for y, d in enumerate(levels) if d.is_finite and d.value <= radius)
 
 
 def ref_range_term(space, xs, k):
@@ -265,8 +260,8 @@ def ref_is_kleene(space):
 
 
 def test_mask_questions_match_distance_references(random_pm_space):
-    """Width, pairwise bounds, balls, the distance form of the range iterates
-    and both flags agree with the references on seeded random spaces, small
+    """Width, pairwise bounds, the distance form of the range iterates and
+    both flags agree with the references on seeded random spaces, small
     disjoint unions of them and the empty space."""
     rng = random.Random(808)
     spaces = [random_pm_space(rng) for _ in range(150)]
@@ -282,9 +277,6 @@ def test_mask_questions_match_distance_references(random_pm_space):
         assert space.is_regular() == regular, space
         assert space.is_kleene() == ref_is_kleene(space), space
         assert space.zeta_width() == ref_zeta_width(space), space
-        for x in range(space.n):
-            for radius in (0, 1, 2, 3, space.n):
-                assert space.poset.ball(x, radius) == ref_ball(space.poset, x, radius)
         algebra = dual_algebra(space)
         if not regular or space.n == 0:
             with pytest.raises(NotRegular):

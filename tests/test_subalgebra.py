@@ -38,7 +38,7 @@ def saturate(algebra, gens):
     """Reference closure by pairwise saturation: apply the unary operations
     to every fresh element and meet and join it with everything generated
     so far, until nothing new appears."""
-    gens = [algebra.elements[algebra.index_of(g)] for g in gens]
+    gens = [order.Poset.set_of(algebra.mask_of(g)) for g in gens]
     generated: set[frozenset[int]] = {algebra.zero, algebra.one}
     generated.update(gens)
     worklist = list(generated)
@@ -337,11 +337,11 @@ def test_local_finiteness_bound_overflow():
 @pytest.mark.parametrize(
     "call,name",
     [
-        (lambda value: catalog.q(2).poset.ball(0, value), "radius"),
+        (lambda value: catalog.q(2).simple_in_mn(value), "bound"),
         (local_finiteness_bound, "generators"),
         (crown_bound_ceiling, "generators"),
     ],
-    ids=["ball", "local_finiteness_bound", "crown_bound_ceiling"],
+    ids=["simple_in_mn", "local_finiteness_bound", "crown_bound_ceiling"],
 )
 @pytest.mark.parametrize("value", [-1, 0.5, 1.5, "1", None, True])
 def test_natural_parameters_reject_non_naturals(call, name, value):
