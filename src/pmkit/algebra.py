@@ -5,12 +5,13 @@ union as lattice operations, the pseudocomplement ``star`` (complement of
 the up-closure), the de Morgan involution ``prime`` (complement of the
 involution image) and the derived dual pseudocomplement.  Inside, an element
 is the bitmask of its points.  The elements are counted at construction
-(:meth:`~pmkit.order.Poset.count_downsets`), and listed as masks in the
-canonical order (by cardinality, then by sorted index tuple) only on first
-need: ``len()``, membership and the four operations read the space's down
-rows and its star and prime (:meth:`~pmkit.space.Space.star_prime`) and
-list nothing.  The congruence sets need only those, so the space lists them.
-The public methods take and return frozensets of points.
+(:meth:`~pmkit.order.Poset.count_downsets`), and listed only on first need,
+once, as a tuple of masks in the canonical order (by cardinality, then by
+sorted index tuple): ``len()``, membership and the four operations read the
+space's down rows and its star and prime
+(:meth:`~pmkit.space.Space.star_prime`) and list nothing.  The congruence
+sets need only those, so the space lists them.  The public methods take and
+return frozensets of points.
 """
 
 from __future__ import annotations
@@ -48,11 +49,9 @@ class Algebra:
         return self._count
 
     @cached_property
-    def _index(self) -> dict[int, int]:
-        """Element masks mapped to their positions in the canonical order,
-        listed on first need."""
-        masks = self.space.poset.downset_masks(self._count)
-        return {m: i for i, m in enumerate(masks)}
+    def _masks(self) -> tuple[int, ...]:
+        """The element masks in the canonical order, listed on first need."""
+        return tuple(self.space.poset.downset_masks(self._count))
 
     def __contains__(self, xs) -> bool:
         try:
@@ -65,7 +64,7 @@ class Algebra:
     def elements(self) -> tuple[frozenset[int], ...]:
         """The elements as frozensets of points, in the canonical order,
         listed on first read."""
-        return tuple(map(Poset.set_of, self._index))
+        return tuple(map(Poset.set_of, self._masks))
 
     @property
     def zero(self) -> frozenset[int]:
@@ -147,7 +146,7 @@ class Algebra:
         """Least n making every element's prime-star chain stall by step n:
         the most steps any ``x & x'*`` takes to reach a fixed point."""
         most = 0
-        for mask in self._index:
+        for mask in self._masks:
             current, k = mask & self._prime_star(mask), 0
             while (nxt := self._prime_star(current)) != current:
                 current, k = nxt, k + 1
@@ -159,14 +158,14 @@ class Algebra:
     def is_regular(self) -> bool:
         """Exhaustive check of ``x & x+ <= y | y*`` over all element pairs."""
         lower, upper = 0, self.space.poset.all_mask
-        for mask in self._index:
+        for mask in self._masks:
             lower |= mask & self._plus(mask)
             upper &= mask | self.space.star_prime(mask)[0]
         return not lower & ~upper
 
     def _star_determines(self, other) -> bool:
-        signatures = {(self.space.star_prime(m)[0], other(m)) for m in self._index}
-        return len(signatures) == len(self._index)
+        signatures = {(self.space.star_prime(m)[0], other(m)) for m in self._masks}
+        return len(signatures) == len(self._masks)
 
     def moisil_trivial(self) -> bool:
         """True when equal star and prime-star determine equal elements."""
@@ -187,7 +186,7 @@ class Algebra:
         ideals ordered by inclusion, with the involution read off through the
         de Morgan operation.  The result is pm-isomorphic to the source space.
         """
-        n, masks = self.space.n, list(self._index)[::-1]
+        n, masks = self.space.n, self._masks[::-1]
         # ideals[x]: the positions of the elements avoiding x, read as binary
         # digits from the last element down to the first
         ideals = [int("".join(["0" if m >> x & 1 else "1" for m in masks]), 2) for x in range(n)]

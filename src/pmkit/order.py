@@ -251,8 +251,11 @@ class Poset:
     __slots__ = ("n", "_up", "_down", "_nbr", "_all", "_min", "_max", "_hash")
 
     def __init__(self, up_rows: Sequence[int]):
-        n = len(up_rows)
-        up = list(up_rows)
+        try:
+            up = list(up_rows)
+        except TypeError:
+            raise IndexOutOfRange(f"up_rows must be a sequence of masks, got {up_rows!r}") from None
+        n = len(up)
         all_mask = (1 << n) - 1
         for i, row in enumerate(up):
             # a row is a mask of points: an int in range(2**n) by the point rule
@@ -303,6 +306,10 @@ class Poset:
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
         """Build from order-generating pairs ``(a, b)`` meaning ``a <= b``."""
         check_natural(n, "n")
+        try:
+            pairs = iter(pairs)
+        except TypeError:
+            raise IndexOutOfRange(f"pairs must be an iterable of pairs, got {pairs!r}") from None
         up = [1 << i for i in range(n)]
         for pair in pairs:
             try:
@@ -371,12 +378,6 @@ class Poset:
 
     def maximals_mask(self) -> int:
         return self._max
-
-    def minimals(self) -> frozenset[int]:
-        return self.set_of(self.minimals_mask())
-
-    def maximals(self) -> frozenset[int]:
-        return self.set_of(self.maximals_mask())
 
     def min_below(self, x: int) -> frozenset[int]:
         """Minimal elements below ``x`` (the lower shadow of a point)."""

@@ -63,6 +63,8 @@ class Space:
     __slots__ = ("poset", "zeta", "_zeta_bits", "_hash", "_facts", "__weakref__")
 
     def __init__(self, poset: Poset, zeta: Sequence[int]):
+        if not isinstance(poset, Poset):
+            raise IndexOutOfRange(f"poset must be a Poset, got {poset!r}")
         try:
             zeta = tuple(zeta)
         except TypeError:

@@ -10,18 +10,19 @@ least members not yet checked, then applies each distinct image not
 applied before, in one scan of its points that both tests and refines.
 The members are listed from the least members by
 :func:`~pmkit.order.closed_masks`, and stay masks: a :class:`ClosureResult`
-keeps the listing's tuple and makes frozensets, in the canonical order,
-only when its ``generated`` tuple is first read.  Growth experiments on the
-width-2 grid family show one generator producing at least ``n`` elements,
-the finite shadow of a free algebra being infinite; they run the closure
-on the space alone and never enumerate the downset algebra.
+keeps the listing's tuple, compares and hashes by it, and makes frozensets,
+in the canonical order, only when its ``generated`` tuple is first read.
+Growth experiments on the width-2 grid family show one generator producing
+at least ``n`` elements, the finite shadow of a free algebra being
+infinite; they run the closure on the space alone and never enumerate the
+downset algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable
+from typing import Iterable
 
 from . import catalog
 from .algebra import Algebra, dual_algebra
@@ -34,21 +35,19 @@ from .space import Space
 class ClosureResult:
     """A generated subalgebra.
 
-    The members are kept as the bitmasks of their points.  ``generated``
-    lists them as frozensets, in the canonical element order, on first read
-    and keeps the tuple; ``len()``, equality, ``generator_count`` and
-    ``op_applications`` make no frozensets.  Equality compares the sets of
-    member masks, the generator count and the op applications.  The hash is
-    that of the tuple ``(generated, generator_count, op_applications)``, so
-    hashing lists.
+    The members are kept as the tuple of their masks that
+    :func:`~pmkit.order.closed_masks` lists from the least members.  The
+    subalgebra alone fixes its least members, so two results for one
+    subalgebra hold the same tuple.  Equality and the hash go by the member
+    masks, the generator count and the op applications, and list nothing.
+    ``generated`` lists the members as frozensets, in the canonical element
+    order, on first read and keeps the tuple.
 
     ``op_applications`` counts the star and prime evaluations and the joins
     made by the closure.
     """
 
-    # The masks are kept as handed over, in the listing's order, without a
-    # copy; nothing mutates them.
-    _masks: Collection[int]
+    _masks: tuple[int, ...]
     generator_count: int
     op_applications: int
 
@@ -61,18 +60,6 @@ class ClosureResult:
 
     def __len__(self) -> int:
         return len(self._masks)
-
-    def __eq__(self, other):
-        if not isinstance(other, ClosureResult):
-            return NotImplemented
-        return (
-            self.generator_count == other.generator_count
-            and self.op_applications == other.op_applications
-            and set(self._masks) == set(other._masks)
-        )
-
-    def __hash__(self):
-        return hash((self.generated, self.generator_count, self.op_applications))
 
     def __repr__(self):
         return (

@@ -98,7 +98,7 @@ class FrozensetAlgebra:
             current = frozenset((x,))
             while True:
                 grown = current | zeta_image(current)
-                grown |= up_closure(poset, grown & poset.minimals())
+                grown |= up_closure(poset, grown & Poset.set_of(poset.minimals_mask()))
                 if grown == current:
                     return current
                 current = grown
@@ -510,7 +510,7 @@ def test_congruence_sets_brute_force(catalog_spaces):
         if space.n > 8:
             continue
         p = space.poset
-        mins = p.minimals()
+        mins = Poset.set_of(p.minimals_mask())
         brute = set()
         for mask in range(1 << space.n):
             members = frozenset(i for i in range(space.n) if (mask >> i) & 1)
@@ -545,7 +545,7 @@ def test_congruence_sets_are_budgeted():
 def test_congruence_sets_also_down_closed_on_maximals(catalog_spaces):
     for _, space in catalog_spaces:
         p = space.poset
-        maxs = p.maximals()
+        maxs = Poset.set_of(p.maximals_mask())
         for xs in dual_algebra(space).congruence_sets():
             assert p.down_closure(xs & maxs) <= xs
 

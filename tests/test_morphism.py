@@ -352,8 +352,9 @@ def test_surjective_witness_preserves_extrema():
     for src, dst in cases:
         witness = search_surjective(src, dst).witness
         phi = witness.mapping
-        assert {phi[x] for x in src.poset.minimals()} == set(dst.poset.minimals())
-        assert {phi[x] for x in src.poset.maximals()} == set(dst.poset.maximals())
+        mins, maxs = src.poset.minimals_mask(), src.poset.maximals_mask()
+        assert {phi[x] for x in iter_bits(mins)} == Poset.set_of(dst.poset.minimals_mask())
+        assert {phi[x] for x in iter_bits(maxs)} == Poset.set_of(dst.poset.maximals_mask())
         for x in range(src.n):
             assert dst.poset.min_below(phi[x]) == frozenset(
                 phi[y] for y in src.poset.min_below(x)

@@ -70,11 +70,15 @@ def test_every_point_entry_takes_the_point_itself(entry):
         (lambda: Poset.from_pairs(2, [0]), "pair 0 is not a pair of points"),
         (lambda: Poset.from_pairs(2, [(0, 1, 1)]), "pair (0, 1, 1) is not a pair of points"),
         (lambda: Space(Poset.antichain(1), 0), "zeta must be a sequence of points, got 0"),
+        (lambda: Poset(5), "up_rows must be a sequence of masks, got 5"),
+        (lambda: Poset.from_pairs(2, 5), "pairs must be an iterable of pairs, got 5"),
+        (lambda: Space(5, [0]), "poset must be a Poset, got 5"),
     ],
-    ids=["short-pair", "no-pair", "long-pair", "no-involution"],
+    ids=["short-pair", "no-pair", "long-pair", "no-involution", "no-rows", "no-pairs", "no-poset"],
 )
 def test_malformed_construction_raises_a_typed_error(build, message):
-    """Construction holds to the rule too: an entry that is no pair, or an
+    """Construction holds to the rule too: an entry that is no pair, rows or
+    pairs that are no container, a poset that is no ``Poset``, or an
     involution that is no sequence, is named in an ``IndexOutOfRange``."""
     with pytest.raises(IndexOutOfRange) as err:
         build()

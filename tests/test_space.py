@@ -68,8 +68,8 @@ def test_zeta_image_involution(catalog_spaces):
 
 def test_zeta_image_q6_levels():
     space = catalog.q6(1, 3)
-    mins = space.poset.minimals()
-    assert space.zeta_image(mins) == space.poset.maximals()
+    mins = Poset.set_of(space.poset.minimals_mask())
+    assert space.zeta_image(mins) == Poset.set_of(space.poset.maximals_mask())
 
 
 # -- zeta distance and width ---------------------------------------------------------

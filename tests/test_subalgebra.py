@@ -117,22 +117,20 @@ def test_closure_rejects_bool_points():
 
 
 def test_closure_result_equality_and_hash():
-    """Results compare by members, generator count and op applications, and
-    hash as the tuple of the three, with the members listed."""
+    """Results compare and hash by member masks, generator count and op
+    applications."""
     algebra = dual_algebra(catalog.q6(2, 4))
     first = generate_subalgebra(algebra, [fs(0)])
     again = generate_subalgebra(algebra, [[0]])
     assert first == again and not first != again
     assert hash(first) == hash(again)
-    assert hash(first) == hash((first.generated, first.generator_count, first.op_applications))
     assert len({first, again}) == 1
     twice = generate_subalgebra(algebra, [fs(0), fs(0)])
     assert twice.generated == first.generated and twice != first
     other = generate_subalgebra(algebra, [fs(0, 1)])
     assert other != first
-    masks = {sum(1 << x for x in xs) for xs in first.generated}
-    assert ClosureResult(masks, 1, first.op_applications) == first
-    assert ClosureResult(masks, 1, first.op_applications + 1) != first
+    assert ClosureResult(first._masks, 1, first.op_applications) == first
+    assert ClosureResult(first._masks, 1, first.op_applications + 1) != first
     assert first != first.generated and first != None  # noqa: E711
     assert first.generated is first.generated
     with pytest.raises(AttributeError):
@@ -151,13 +149,15 @@ def _forbid_listing(monkeypatch):
 
 
 def test_closure_size_and_checks_list_no_frozensets(monkeypatch):
-    """Size, equality, growth and the closed-family test stay on masks."""
+    """Size, equality, hash, growth and the closed-family test stay on
+    masks."""
     algebra = dual_algebra(catalog.range2_grid(6))
     family = generate_subalgebra(algebra, [fs(0, 1)]).generated
     _forbid_listing(monkeypatch)
     result = generate_subalgebra(algebra, [fs(0)])
     assert len(result) == 145 and result.op_applications > 0
     assert result == generate_subalgebra(algebra, [fs(0)])
+    assert hash(result) == hash(generate_subalgebra(algebra, [fs(0)]))
     assert one_generator_growth(10) == 2081
     assert is_closed_family(algebra, family)
     assert not is_closed_family(algebra, family[:-1])
@@ -251,6 +251,32 @@ def test_closure_matches_saturation_on_relabelled_grids(relabel):
                 slow = saturate(algebra, gens)
                 assert fast.generated == slow.generated, (n, perm, gens)
                 assert fast.generator_count == slow.generator_count
+
+
+def test_one_subalgebra_lists_one_mask_tuple(random_pm_space):
+    """The least members, and so the mask tuple a result compares and hashes
+    by, depend on the generated subalgebra alone: closing again from the
+    closure's own members, shuffled, lists the same tuple."""
+    rng = random.Random(42)
+    cases = []
+    for n in (5, 6, 7):
+        algebra = dual_algebra(catalog.range2_grid(n))
+        pool = list(algebra.elements)
+        cases.append((algebra, [fs(0)]))
+        cases += [(algebra, rng.sample(pool, rng.randint(1, 3))) for _ in range(3)]
+    for _ in range(30):
+        algebra = dual_algebra(random_pm_space(rng))
+        pool = list(algebra.elements)
+        cases.append((algebra, rng.sample(pool, min(rng.randint(1, 3), len(pool)))))
+    proper = 0
+    for algebra, gens in cases:
+        first = generate_subalgebra(algebra, gens)
+        members = list(first.generated)
+        rng.shuffle(members)
+        again = generate_subalgebra(algebra, members)
+        assert again._masks == first._masks, (algebra.space, gens)
+        proper += len(first) < len(algebra)
+    assert proper >= 10
 
 
 @pytest.mark.parametrize("n,size,ops", [(5, 77, 114), (7, 277, 334), (10, 2081, 2168)])
