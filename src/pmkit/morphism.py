@@ -70,7 +70,10 @@ DEFAULT_BUDGET = 10**8
 def _images(src: Space, dst: Space, mapping: Sequence[int]) -> tuple[int, ...]:
     """``mapping`` as a tuple, after checking that it sends every point of
     ``src`` to a point of ``dst``."""
-    phi = tuple(mapping)
+    try:
+        phi = tuple(mapping)
+    except TypeError:
+        raise IndexOutOfRange(f"mapping must be a sequence of points, got {mapping!r}") from None
     if len(phi) != src.n:
         raise IndexOutOfRange("mapping must assign every source element")
     return check_indices(phi, dst.n, "mapping image")

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AntisymmetryBroken,
+    BadParams,
     IndexOutOfRange,
     ReflexivityBroken,
     SizeLimitExceeded,
@@ -84,14 +85,15 @@ class Distance:
     """Length of a shortest comparability path, or infinity.
 
     Compares numerically; the infinite value is strictly greater than every
-    finite one.  Plain ints are accepted on the other side of a comparison.
+    finite one.  Plain ints (not bools, by the point rule) are accepted on the
+    other side of a comparison.
     """
 
     __slots__ = ("value",)
 
     def __init__(self, value):
-        if value is not None and (not isinstance(value, int) or value < 0):
-            raise ValueError(f"distance must be a natural number or None: {value!r}")
+        if value is not None and not (type(value) is int and value >= 0):
+            raise BadParams(f"distance must be a natural number or None, got {value!r}")
         object.__setattr__(self, "value", value)
 
     def __setattr__(self, name, val):
@@ -101,7 +103,7 @@ class Distance:
     def _coerce(other):
         if isinstance(other, Distance):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return Distance(other)
         return None
 
@@ -153,9 +155,13 @@ def is_index(x, n: int) -> bool:
 def check_indices(xs: Iterable[int], n: int, noun: str = "index") -> tuple[int, ...]:
     """``xs`` as a tuple, after checking that each member is a point of an
     ``n``-point space (:func:`is_index`).  Raises :class:`IndexOutOfRange`
-    naming the first member that is not an int, else the first out of range;
-    ``noun`` says what the members are ("index", "mapping image")."""
-    xs = tuple(xs)
+    when ``xs`` is not iterable, else naming the first member that is not an
+    int, else the first out of range; ``noun`` says what the members are
+    ("index", "mapping image")."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise IndexOutOfRange(f"xs must be an iterable of points, got {xs!r}") from None
     # C-level passes over the whole tuple; the generators run on failure only
     if not _INT.issuperset(map(type, xs)):
         bad = next(x for x in xs if type(x) is not int)

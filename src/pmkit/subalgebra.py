@@ -177,6 +177,8 @@ def crown_bound_ceiling(generators: int) -> int:
 def crown_bound_check(n: int, generators: int) -> bool:
     """Verify every ``N``-generated closure in the doubled-crown algebra
     stays below the stated ceiling (trivially so, via the algebra size)."""
+    check_natural(n, "n")
+    check_natural(generators, "generators")
     if not 2 <= n <= 4:
         raise BadParams(f"crown bound check supports 2 <= n <= 4, got {n}")
     if generators not in (0, 1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import catalog
-from .errors import BadLabel, NotRegular
+from .errors import BadLabel, NotRegular, check_natural
 from .morphism import DEFAULT_BUDGET, search_surjective
 from .order import Poset, iter_bits
 from .space import Space
@@ -37,7 +37,7 @@ class SimpleRef:
 
     @classmethod
     def l6(cls, m: int, n: int) -> "SimpleRef":
-        _check_label(m, n)
+        _check_label(m, n, "mn")
         return cls(f"L6({m},{n})", catalog.q6(m, n))
 
     @classmethod
@@ -47,8 +47,10 @@ class SimpleRef:
         return cls(label, space)
 
 
-def _check_label(p: int, q: int) -> None:
-    if q < 3 or not 0 <= p <= q:
+def _check_label(p: int, q: int, names: str = "pq") -> None:
+    check_natural(p, names[0])
+    check_natural(q, names[1])
+    if q < 3 or p > q:
         raise BadLabel(f"labels require q >= 3 and 0 <= p <= q, got ({p}, {q})")
 
 
@@ -57,7 +59,7 @@ def l6_member(p: int, q: int, m: int, n: int) -> bool:
     (m, n) one?  Requires ``p <= m`` and either all four parameters equal or
     ``p < q`` with ``q`` at most ``p + (m - p)//2 + n - m``."""
     _check_label(p, q)
-    _check_label(m, n)
+    _check_label(m, n, "mn")
     if p > m:
         return False
     if p == q == m == n:
@@ -68,7 +70,7 @@ def l6_member(p: int, q: int, m: int, n: int) -> bool:
 def l6_member_oracle(p: int, q: int, m: int, n: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Brute-force counterpart of :func:`l6_member` by morphism search."""
     _check_label(p, q)
-    _check_label(m, n)
+    _check_label(m, n, "mn")
     return search_surjective(catalog.q6(m, n), catalog.q6(p, q), budget).found
 
 

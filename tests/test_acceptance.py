@@ -6,11 +6,10 @@ detail included.  All comparisons are exact (booleans, counts, set
 equalities).
 """
 
-from pathlib import Path
-
 import pytest
 
 from pmkit import acceptance
+from support import ROOT
 
 EXPECTED_LINES = [
     "criterion  1 PASS membership formula vs search sweep (484 parameter tuples)",
@@ -46,7 +45,7 @@ def test_criterion(number, title, func):
 def test_expected_lines_match_the_benchmark_copy():
     """The benchmark's gate workload checks ``verify-paper`` against its own
     copy of these lines; the two copies must not drift apart."""
-    gate_expected = Path(__file__).resolve().parents[1] / "perfbench" / "gate_expected.txt"
+    gate_expected = ROOT / "perfbench" / "gate_expected.txt"
     lines = EXPECTED_LINES + ["summary: 14/14 passed"]
     assert gate_expected.read_text() == "\n".join(lines) + "\n"
 

@@ -13,19 +13,11 @@ from pmkit.errors import (
     SizeLimitExceeded,
 )
 from pmkit.subalgebra import crown_bound_check, is_closed_family
-
-
-def fs(*xs):
-    return frozenset(xs)
+from support import fs, powerset, random_regular_space, up_closure
 
 
 def canonical_key(s):
     return len(s), tuple(sorted(s))
-
-
-def up_closure(poset, xs):
-    """All points above some member of ``xs``, by ``leq``."""
-    return frozenset(y for y in range(poset.n) if any(poset.leq(x, y) for x in xs))
 
 
 class FrozensetAlgebra:
@@ -37,11 +29,8 @@ class FrozensetAlgebra:
         n = space.n
         self.space = space
         self.universe = frozenset(range(n))
-        subsets = (
-            frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)
-        )
         self.elements = sorted(
-            (s for s in subsets if space.poset.down_closure(s) == s), key=canonical_key
+            (s for s in powerset(range(n)) if space.poset.down_closure(s) == s), key=canonical_key
         )
 
     def star(self, xs):
@@ -175,8 +164,7 @@ def test_mask_algebra_matches_frozenset_reference(random_pm_space):
         assert space.congruence_sets() == ref.congruence_sets(), space
         assert algebra.reconstruct_space() == ref.reconstruct_space(), space
         members = set(ref.elements)
-        points = range(space.n)
-        subsets = (frozenset(c) for k in points for c in itertools.combinations(points, k))
+        subsets = powerset(range(space.n))
         strangers = list(itertools.islice((s for s in subsets if s not in members), 4))
         strangers += [fs(space.n), fs(-1), fs(0, space.n), fs(0, -1)]
         for xs in strangers:
@@ -416,30 +404,6 @@ def test_range_of(token, expected):
 def test_range_equals_width(regular_spaces):
     for name, space in regular_spaces:
         assert dual_algebra(space).range_of() == space.zeta_width(), name
-
-
-def loop_graph_space(k, rng):
-    """Two-level space on k zeta-pairs: ``i < zeta(j)`` iff ``i ~ j`` in a
-    random graph with loops on ``range(k)``."""
-    p = rng.choice((0.2, 0.5, 0.8, 1.0))
-    edges = [(i, j) for i in range(k) for j in range(i, k) if rng.random() < p]
-    pairs = [(i, k + j) for i, j in edges] + [(j, k + i) for i, j in edges]
-    return Space(Poset.from_pairs(2 * k, pairs), [*range(k, 2 * k), *range(k)])
-
-
-def random_regular_space(rng):
-    """One or two loop-graph parts with k <= 5 pairs each, beside up to two
-    isolated fixed points and two isolated swapped pairs: every regular
-    space has this form.  At most 12 points."""
-    fixed, swapped = Space(Poset.antichain(1), [0]), Space(Poset.antichain(2), [1, 0])
-    space = loop_graph_space(rng.randint(1, 5), rng)
-    if space.n <= 8 and rng.random() < 0.5:
-        other = loop_graph_space(rng.randint(1, 6 - space.n // 2), rng)
-        space = catalog.disjoint_union(space, other)
-    for part in [fixed] * rng.randint(0, 2) + [swapped] * rng.randint(0, 2):
-        if space.n + part.n <= 12:
-            space = catalog.disjoint_union(space, part)
-    return space
 
 
 def test_range_equals_width_on_random_regular_spaces():

@@ -9,9 +9,10 @@ and not only in a benchmark run.
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-SELFTEST = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+from support import ROOT
+
+SELFTEST = ROOT / "perfbench" / "selftest.py"
 
 
 def test_benchmark_selftest_passes():

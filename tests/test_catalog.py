@@ -1,7 +1,6 @@
 """Catalog constructors: validity, documented invariants, parameter errors."""
 
 import gc
-import itertools
 import sys
 import threading
 import weakref
@@ -9,6 +8,7 @@ import weakref
 import pytest
 
 from pmkit import Poset, Space, catalog, dual_algebra, is_pm_isomorphic, search_surjective
+from pmkit import Distance, crown_bound_check, l6_member, l6_member_oracle
 from pmkit.document import MAX_ELEMENTS
 from pmkit.errors import (
     BadParams,
@@ -18,19 +18,7 @@ from pmkit.errors import (
 )
 from pmkit.morphism import _search_tables
 from pmkit.subalgebra import generate_subalgebra, is_closed_family, one_generator_growth
-
-
-def fs(*xs):
-    return frozenset(xs)
-
-
-def powerset(ground):
-    ground = list(ground)
-    return [
-        frozenset(c)
-        for k in range(len(ground) + 1)
-        for c in itertools.combinations(ground, k)
-    ]
+from support import fs, powerset
 
 
 # -- the six small spaces ----------------------------------------------------
@@ -56,13 +44,23 @@ BAD_PARAMS = [
     (catalog.q6, (1, 2), "q6 requires n >= 3 and 0 <= m <= n, got (1, 2)"),
     (catalog.range2_grid, (4,), "range2_grid requires n >= 5, got 4"),
     (catalog.crown_pair, (1,), "crown_pair requires n >= 2, got 1"),
+    (crown_bound_check, ("a", 0), "n must be a natural number, got 'a'"),
+    (crown_bound_check, (2, True), "generators must be a natural number, got True"),
+    (l6_member, (True, 3, 3, 3), "p must be a natural number, got True"),
+    (l6_member, (0.5, 4, 3, 3), "p must be a natural number, got 0.5"),
+    (l6_member, ("a", 3, 3, 3), "p must be a natural number, got 'a'"),
+    (l6_member, (0, 3, 3, -4), "n must be a natural number, got -4"),
+    (l6_member_oracle, (True, 3, 3, 3), "p must be a natural number, got True"),
+    (Distance, (True,), "distance must be a natural number or None, got True"),
+    (Distance, (1.5,), "distance must be a natural number or None, got 1.5"),
 ]
 
 
 @pytest.mark.parametrize("build, args, message", BAD_PARAMS)
 def test_family_parameters_must_be_natural(build, args, message):
-    """Non-natural parameters are rejected before the range checks, whose
-    messages stay as they were."""
+    """Non-natural parameters, of the catalog families and of every other
+    entry that takes natural numbers, are rejected before the range checks,
+    whose messages stay as they were."""
     with pytest.raises(BadParams) as caught:
         build(*args)
     assert str(caught.value) == message

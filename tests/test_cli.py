@@ -1,13 +1,13 @@
 """The command-line interface: verdict exit codes and report shapes."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from pmkit.catalog import disjoint_union, nonregular_chain3, q6
 from pmkit.cli import main
 from pmkit.document import MAX_ELEMENTS, format_space
+from support import ROOT
 
 
 def run(capsys, *argv):
@@ -398,7 +398,7 @@ def _gate_stubs():
     ``perfbench/gate_expected.txt`` holds for it, and that file's text."""
     from pmkit import acceptance
 
-    expected = (Path(__file__).resolve().parents[1] / "perfbench" / "gate_expected.txt").read_text()
+    expected = (ROOT / "perfbench" / "gate_expected.txt").read_text()
     stubs = []
     for i, ((title, _), line) in enumerate(zip(acceptance.CRITERIA, expected.splitlines()), 1):
         prefix = f"criterion {i:2d} PASS {title} ("

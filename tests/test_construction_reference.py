@@ -14,11 +14,11 @@ from pmkit.errors import (
     IndexOutOfRange,
     InvolutionBroken,
     OrderReversalBroken,
-    PmkitError,
     ReflexivityBroken,
     TransitivityBroken,
 )
 from pmkit.order import iter_bits
+from support import closed, outcome
 
 
 def reference_poset_check(up):
@@ -81,24 +81,6 @@ class TupleHash:
 
     def __hash__(self):
         return hash(self.up)
-
-
-def outcome(call):
-    """``('valid', value)`` or the raised class, message and witness."""
-    try:
-        return "valid", call()
-    except PmkitError as exc:
-        return type(exc), str(exc), getattr(exc, "witness", None)
-
-
-def closed(up):
-    """Reflexive-transitive closure of bit rows, with no validation."""
-    up = [row | 1 << i for i, row in enumerate(up)]
-    for k in range(len(up)):
-        for i in range(len(up)):
-            if up[i] >> k & 1:
-                up[i] |= up[k]
-    return up
 
 
 def faulty(rng, space):

@@ -8,13 +8,12 @@ import ast
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from pmkit import catalog
+from support import ROOT
 
-ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 FAST = ["01", "02", "03", "04", "05"]
 

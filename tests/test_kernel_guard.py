@@ -3,10 +3,7 @@
 per block and per member row, so a call to the ``iter_bits`` generator
 there would put one generator step back on every point they visit."""
 
-import ast
-from pathlib import Path
-
-import pmkit
+from support import calls, library_sources
 
 #: The kernels, by file: the names of the functions that may not call
 #: ``iter_bits``, nested functions included.
@@ -17,25 +14,17 @@ def iter_bits_calls(source, kernels):
     """Lines of the ``iter_bits`` calls inside the functions named in
     ``kernels``, called by name or as an attribute."""
     return [
-        node.lineno
-        for function in ast.walk(ast.parse(source))
-        if isinstance(function, ast.FunctionDef) and function.name in kernels
-        for node in ast.walk(function)
-        if isinstance(node, ast.Call)
-        and (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "iter_bits"
-            or isinstance(node.func, ast.Attribute)
-            and node.func.attr == "iter_bits"
-        )
+        line
+        for line, _, functions in calls(source, "iter_bits")
+        if not kernels.isdisjoint(functions)
     ]
 
 
 def test_the_closure_kernels_call_no_iter_bits():
-    package = Path(pmkit.__file__).parent
+    sources = library_sources()
     found = {}
     for name, kernels in KERNELS.items():
-        source = (package / name).read_text(encoding="utf-8")
+        source = sources[name]
         # a renamed kernel would pass unseen
         assert all(f"def {kernel}(" in source for kernel in kernels), name
         if lines := iter_bits_calls(source, kernels):

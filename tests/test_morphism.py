@@ -25,20 +25,7 @@ from pmkit.document import format_space
 from pmkit.errors import BadParams, IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
 from pmkit.morphism import DEFAULT_BUDGET, Q6CriteriaReport, _q6_shape, _search_tables
 from pmkit.order import iter_bits
-
-
-def _relabel(space, perm):
-    """The same space with element ``x`` renamed ``perm[x]``."""
-    pairs = [
-        (perm[x], perm[y])
-        for x in range(space.n)
-        for y in range(space.n)
-        if space.poset.leq(x, y)
-    ]
-    zeta = [0] * space.n
-    for x in range(space.n):
-        zeta[perm[x]] = perm[space.zeta[x]]
-    return Space(Poset.from_pairs(space.n, pairs), zeta)
+from support import relabel
 
 
 # -- check_pm_morphism ------------------------------------------------------------
@@ -389,7 +376,7 @@ def test_iso_under_relabelling():
     space = catalog.q6(1, 4)
     # relabel by rotating the free minimal elements
     perm = [0, 2, 3, 1, 4, 6, 7, 5]
-    assert is_pm_isomorphic(space, _relabel(space, perm))
+    assert is_pm_isomorphic(space, relabel(space, perm))
 
 
 def test_iso_negative_cases():
@@ -432,7 +419,7 @@ def test_q6_params_follow_a_relabelling():
         for m in range(n + 1):
             space = catalog.q6(m, n)
             perm = rng.sample(range(space.n), space.n)
-            params = q6_params_of(_relabel(space, perm))
+            params = q6_params_of(relabel(space, perm))
             assert params == (m, n, frozenset(perm[x] for x in range(m)))
 
 
@@ -471,7 +458,7 @@ def test_criteria_follow_a_relabelling():
             src, dst = catalog.q6(m, n), catalog.q6(p, q)
             sigma = rng.sample(range(src.n), src.n)
             tau = rng.sample(range(dst.n), dst.n)
-            src2, dst2 = _relabel(src, sigma), _relabel(dst, tau)
+            src2, dst2 = relabel(src, sigma), relabel(dst, tau)
             for _ in range(40):
                 # Half the maps keep the levels, half may send minimals up.
                 targets = q if rng.random() < 0.5 else dst.n
@@ -755,7 +742,7 @@ def twin_test_spaces(catalog_spaces, random_pm_space):
     spaces = [space for _, space in catalog_spaces]
     spaces += [random_pm_space(rng) for _ in range(60)]
     spaces += [catalog.disjoint_union(catalog.q(i), catalog.q(i)) for i in range(6)]
-    spaces += [_relabel(s, rng.sample(range(s.n), s.n)) for s in spaces[:20]]
+    spaces += [relabel(s, rng.sample(range(s.n), s.n)) for s in spaces[:20]]
     return spaces
 
 

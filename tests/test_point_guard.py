@@ -3,9 +3,8 @@ what a natural number is: no other module tests a value for ``int`` or
 ``bool`` itself, so a point means the same thing in every module."""
 
 import ast
-from pathlib import Path
 
-import pmkit
+from support import library_sources
 
 ALLOWED = {"order.py", "errors.py"}
 
@@ -40,13 +39,10 @@ def int_tests(source):
 
 
 def test_only_order_and_errors_test_for_int():
-    package = Path(pmkit.__file__).parent
-    files = sorted(package.glob("*.py"))
-    assert len(files) >= 10
     found = {
-        path.name: lines
-        for path in files
-        if path.name not in ALLOWED and (lines := int_tests(path.read_text(encoding="utf-8")))
+        name: lines
+        for name, source in library_sources().items()
+        if name not in ALLOWED and (lines := int_tests(source))
     }
     assert found == {}
 

@@ -73,13 +73,25 @@ def test_every_point_entry_takes_the_point_itself(entry):
         (lambda: Poset(5), "up_rows must be a sequence of masks, got 5"),
         (lambda: Poset.from_pairs(2, 5), "pairs must be an iterable of pairs, got 5"),
         (lambda: Space(5, [0]), "poset must be a Poset, got 5"),
+        (lambda: SRC.poset.mask_of(None), "xs must be an iterable of points, got None"),
+        (lambda: SRC.poset.down_closure(None), "xs must be an iterable of points, got None"),
+        (lambda: SRC.poset.is_decreasing(None), "xs must be an iterable of points, got None"),
+        (lambda: SRC.poset.distance_levels(5), "xs must be an iterable of points, got 5"),
+        (lambda: SRC.poset.distance_to_set(0, None), "xs must be an iterable of points, got None"),
+        (lambda: SRC.zeta_image(None), "xs must be an iterable of points, got None"),
+        (lambda: check_pm_morphism(SRC, SRC, 5), "mapping must be a sequence of points, got 5"),
+        (lambda: check_q6_criteria(SRC, SRC, 5), "mapping must be a sequence of points, got 5"),
+        (lambda: MorphismMap(SRC, SRC, None), "mapping must be a sequence of points, got None"),
     ],
-    ids=["short-pair", "no-pair", "long-pair", "no-involution", "no-rows", "no-pairs", "no-poset"],
+    ids=["short-pair", "no-pair", "long-pair", "no-involution", "no-rows", "no-pairs", "no-poset"]
+    + ["mask_of", "down_closure", "is_decreasing", "distance_levels", "distance_to_set"]
+    + ["zeta_image", "check_pm_morphism", "check_q6_criteria", "MorphismMap"],
 )
 def test_malformed_construction_raises_a_typed_error(build, message):
-    """Construction holds to the rule too: an entry that is no pair, rows or
-    pairs that are no container, a poset that is no ``Poset``, or an
-    involution that is no sequence, is named in an ``IndexOutOfRange``."""
+    """Construction and the entries that take points hold to the rule too:
+    an entry that is no pair, rows or pairs that are no container, a poset
+    that is no ``Poset``, or an involution, a set of points or a mapping that
+    is not iterable, is named in an ``IndexOutOfRange``."""
     with pytest.raises(IndexOutOfRange) as err:
         build()
     assert str(err.value) == message

@@ -4,9 +4,8 @@ searches and the downset counter run on explicit stacks; this scan keeps
 direct recursion from coming back."""
 
 import ast
-from pathlib import Path
 
-import pmkit
+from support import library_sources
 
 
 def _is_self_call(node, name, in_class):
@@ -48,13 +47,8 @@ def self_calls(source):
 
 
 def test_no_library_function_calls_itself():
-    package = Path(pmkit.__file__).parent
-    files = sorted(package.glob("*.py"))
-    assert len(files) >= 10
     found = {
-        path.name: names
-        for path in files
-        if (names := self_calls(path.read_text(encoding="utf-8")))
+        name: names for name, source in library_sources().items() if (names := self_calls(source))
     }
     assert found == {}
 

@@ -17,10 +17,7 @@ from pmkit.subalgebra import (
     local_finiteness_bound,
     one_generator_growth,
 )
-
-
-def fs(*xs):
-    return frozenset(xs)
+from support import fs
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,9 @@ public method of a library class is read as an attribute, somewhere in
 below with its reason."""
 
 import ast
-from pathlib import Path
 
 import pmkit
-
-PACKAGE = Path(pmkit.__file__).parent
-ROOT = Path(__file__).resolve().parent.parent
+from support import ROOT, library_sources
 
 #: Public names with no user in the tree, kept on purpose.
 ALLOWED = {
@@ -45,10 +42,9 @@ def cache_uses(source):
 
 
 def test_the_library_keeps_no_function_cache_or_weak_table():
-    found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if lines := cache_uses(path.read_text(encoding="utf-8")):
-            found[path.name] = lines
+    found = {
+        name: lines for name, source in library_sources().items() if (lines := cache_uses(source))
+    }
     assert found == {}
 
 
@@ -92,7 +88,7 @@ def referenced(sources):
 
 
 def test_every_public_name_has_a_user():
-    library = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    library = list(library_sources().values())
     users = library + [
         path.read_text(encoding="utf-8")
         for folder in ("demos", "perfbench")

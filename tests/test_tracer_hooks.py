@@ -8,11 +8,10 @@ closure counts are the result's own.
 """
 
 import importlib.util
-from pathlib import Path
-
 from pmkit import catalog, dual_algebra, subalgebra
+from support import ROOT
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
