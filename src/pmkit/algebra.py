@@ -27,13 +27,14 @@ from .errors import (
     check_natural,
 )
 from .order import DOWNSET_LIMIT, Poset, check_indices
-from .space import Space
+from .space import Space, check_spaces
 
 
 class Algebra:
     """All downsets of a space, with the four algebra operations."""
 
     def __init__(self, space: Space, limit: int = DOWNSET_LIMIT):
+        check_spaces(space=space)
         count = space.poset.count_downsets(limit)
         if count > limit:
             raise SizeLimitExceeded(

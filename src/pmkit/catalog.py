@@ -45,7 +45,7 @@ from .errors import (
 )
 from .document import MAX_ELEMENTS
 from .order import Poset, canonical_sort, is_index
-from .space import Space
+from .space import Space, check_spaces
 
 
 #: The shared spaces, keyed by ``(family, *params)`` with validated params.
@@ -134,9 +134,9 @@ def nonregular_chain3() -> Space:
 
 def disjoint_union(a: Space, b: Space) -> Space:
     """Side-by-side union; handy for non-simple test spaces."""
+    check_spaces(a=a, b=b)
     shift = a.n
-    up = [a.poset.up_mask(x) for x in range(a.n)]
-    up += [b.poset.up_mask(x) << shift for x in range(b.n)]
+    up = [*a.poset._up, *(row << shift for row in b.poset._up)]
     zeta = tuple(a.zeta) + tuple(shift + z for z in b.zeta)
     return Space(Poset(up), zeta)
 
@@ -248,6 +248,8 @@ def named_space(token: str) -> tuple[Space, tuple[str, ...]]:
     ``crown:n``, ``chain3``) to a space plus printable element names.
     Like a space document, a token names at most
     :data:`~pmkit.document.MAX_ELEMENTS` points; the constructors have no cap."""
+    if not isinstance(token, str):
+        raise BadParams(f"a catalog token must be a string, got {token!r}")
     token = token.strip()
     if token == "chain3":
         return nonregular_chain3(), ("a", "b", "c")

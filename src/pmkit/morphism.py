@@ -61,7 +61,7 @@ from .errors import (
     check_natural,
 )
 from .order import Poset, check_indices, iter_bits
-from .space import Space, per_space
+from .space import Space, check_spaces, per_space
 
 #: Default cap on assignment attempts per search.
 DEFAULT_BUDGET = 10**8
@@ -154,15 +154,14 @@ class _Tables(NamedTuple):
 
 def _is_twin_swap(space: Space, t: int, u: int) -> bool:
     """True when the swap ``(t u)(zeta t, zeta u)`` (just ``(t u)`` when
-    ``u = zeta t``) is an automorphism of ``space``."""
-    p, zeta = space.poset, space.zeta
+    ``u = zeta t``) is an automorphism of ``space``.  Either both points are
+    fixed by zeta or neither is: the caller compares points of one key."""
+    up, down, zeta = space.poset._up, space.poset._down, space.zeta
     zt, zu = zeta[t], zeta[u]
-    if (zt == t) != (zu == u):
-        return False
     moved = 1 << t | 1 << u | 1 << zt | 1 << zu
     # A row outside the moved points is kept when it holds t and u alike, and
     # zeta t and zeta u alike; zeta carries the second test to the up rows.
-    up_t, up_u, down_t, down_u = p.up_mask(t), p.up_mask(u), p.down_mask(t), p.down_mask(u)
+    up_t, up_u, down_t, down_u = up[t], up[u], down[t], down[u]
     if (up_t ^ up_u | down_t ^ down_u) & ~moved:
         return False
     swap = {t: u, u: t, zt: zu, zu: zt}
@@ -194,7 +193,7 @@ def _search_tables(space: Space) -> _Tables:
     keys = []
     groups: dict[tuple, list[int]] = {}
     for t in range(space.n):
-        up, down, zt = p.up_mask(t), p.down_mask(t), zeta[t]
+        up, down, zt = p._up[t], p._down[t], zeta[t]
         if up >> zt & 1:
             below_partner |= 1 << t
         min_count.append((down & minimals).bit_count())
@@ -245,7 +244,7 @@ def _narrow(sp: Poset, dp: Poset, dom: list[int], free: int, x: int, t: int) -> 
     """After ``x -> t``, cut the domain of every free point above ``x`` to
     the points above ``t``, and below ``x`` to those below ``t``; False as
     soon as a domain is empty."""
-    for row, cut in ((sp.up_mask(x), dp.up_mask(t)), (sp.down_mask(x), dp.down_mask(t))):
+    for row, cut in ((sp._up[x], dp._up[t]), (sp._down[x], dp._down[t])):
         for u in iter_bits(row & free):
             dom[u] &= cut
             if not dom[u]:
@@ -348,6 +347,7 @@ def _search(
 
 def search_surjective(src: Space, dst: Space, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive search for a surjective structure map from ``src`` onto ``dst``."""
+    check_spaces(src=src, dst=dst)
     check_natural(budget, "budget")
     if dst.n > src.n:
         return SearchReport(False, None, 0)
@@ -364,6 +364,7 @@ def is_pm_isomorphic(a: Space, b: Space, budget: int = DEFAULT_BUDGET) -> bool:
     search restricted to key-matching candidates; between spaces of equal
     size its coverage bound admits only bijections.
     """
+    check_spaces(a=a, b=b)
     check_natural(budget, "budget")
     if a.n != b.n:
         return False
@@ -402,14 +403,10 @@ def _q6_shape(space: Space) -> tuple[int, int, int, tuple[tuple[int, int, bool],
     n = minimals.bit_count()
     if n < 3 or space.n != 2 * n or minimals & maximals:
         raise NotQ6Shaped("expected disjoint minimal/maximal levels with |min| >= 3")
-    images = 0
-    for x in iter_bits(minimals):
-        images |= 1 << zeta[x]
-    if images != maximals:
-        raise NotQ6Shaped("involution must swap the two levels")
+    # zeta reverses the order both ways, so it swaps the two levels
     exceptions = 0
     for x in iter_bits(minimals):
-        up, own = p.up_mask(x), 1 << zeta[x]
+        up, own = p._up[x], 1 << zeta[x]
         if maximals & ~own & ~up:
             raise NotQ6Shaped("distinct minimals must lie below each other's images")
         if not up & own:

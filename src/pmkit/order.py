@@ -8,9 +8,12 @@ Infinity is a symbolic :class:`Distance` value, never a numeric sentinel.
 This module alone decides what a point is: :func:`is_index` and
 :func:`check_indices` hold every index, map image and involution entry of
 the library to one rule, an exact ``int`` (no bool, no other subclass) in
-``range(n)``.  :func:`closed_masks` is the one listing of a family closed
-under union and intersection (downsets, subalgebra members, congruence
-sets), and the one place its size budget is enforced.
+``range(n)``.  Every :class:`Poset` query that takes a point checks it,
+``up_mask`` and ``down_mask`` included; the library's own code, holding
+only points it has checked or made, reads the rows ``_up`` and ``_down``
+itself.  :func:`closed_masks` is the one listing of a family closed under
+union and intersection (downsets, subalgebra members, congruence sets),
+and the one place its size budget is enforced.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -337,13 +340,7 @@ class Poset:
         check_natural(n, "n")
         return cls.from_pairs(n, [(i, i + 1) for i in range(n - 1)])
 
-    # -- raw mask access (used by the search modules) --------------------
-
-    def up_mask(self, x: int) -> int:
-        return self._up[x]
-
-    def down_mask(self, x: int) -> int:
-        return self._down[x]
+    # -- masks -------------------------------------------------------------
 
     @property
     def all_mask(self) -> int:
@@ -360,6 +357,18 @@ class Poset:
         return frozenset(iter_bits(mask))
 
     # -- order queries ----------------------------------------------------
+
+    def up_mask(self, x: int) -> int:
+        """The mask of the points above ``x``, ``x`` included."""
+        if not is_index(x, self.n):
+            check_indices((x,), self.n)
+        return self._up[x]
+
+    def down_mask(self, x: int) -> int:
+        """The mask of the points below ``x``, ``x`` included."""
+        if not is_index(x, self.n):
+            check_indices((x,), self.n)
+        return self._down[x]
 
     def leq(self, x: int, y: int) -> bool:
         n = self.n

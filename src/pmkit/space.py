@@ -48,6 +48,14 @@ def per_space(compute):
     return fact
 
 
+def check_spaces(**spaces) -> None:
+    """Raise :class:`IndexOutOfRange` naming the first argument that is no
+    :class:`Space`; the keywords are the argument names."""
+    for name, space in spaces.items():
+        if not isinstance(space, Space):
+            raise IndexOutOfRange(f"{name} must be a Space, got {space!r}")
+
+
 @dataclass(frozen=True)
 class SpaceKind:
     """Summary flags of a space: regularity, the Kleene condition, zeta-width."""
@@ -80,15 +88,16 @@ class Space:
         # zeta reverses the order when the image of each up row lies in the
         # down row of the point's image.
         zeta_bits = tuple([1 << z for z in zeta])
+        up, down = poset._up, poset._down
         for x in range(n):
-            rest, image = poset.up_mask(x), 0
+            rest, image = up[x], 0
             while rest:
                 low = rest & -rest
                 image |= zeta_bits[low.bit_length() - 1]
                 rest ^= low
-            if image & ~poset.down_mask(zeta[x]):
-                for y in iter_bits(poset.up_mask(x)):
-                    if not poset.up_mask(zeta[y]) >> zeta[x] & 1:
+            if image & ~down[zeta[x]]:
+                for y in iter_bits(up[x]):
+                    if not up[zeta[y]] >> zeta[x] & 1:
                         raise OrderReversalBroken(
                             f"{x} <= {y} but not zeta({y}) <= zeta({x})", witness=(x, y)
                         )
@@ -153,10 +162,8 @@ class Space:
 
     def is_kleene(self) -> bool:
         """True when every point is comparable with its involution image."""
-        p = self.poset
-        return all(
-            (p.up_mask(x) | p.down_mask(x)) >> z & 1 for x, z in enumerate(self.zeta)
-        )
+        up, down = self.poset._up, self.poset._down
+        return all((up[x] | down[x]) >> z & 1 for x, z in enumerate(self.zeta))
 
     def zeta_distance(self, x: int, y: int) -> Distance:
         """min of the distances from ``x`` to ``y`` and to ``zeta(y)``, in one sweep."""

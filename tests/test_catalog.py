@@ -315,6 +315,25 @@ def test_kf_q6_rejects_non_field():
         catalog.kf_subalgebra_q6(2, 4, [fs(), fs(0), fs(0, 1, 2, 3)])
 
 
+@pytest.mark.parametrize(
+    "family,message",
+    [
+        ([fs(0, 1, 2, 3)], "^family must contain the empty set and the ground set$"),
+        ([fs(), fs(0, 1, 2, 3), fs(4)], r"^\[4\] is not a subset of the ground set$"),
+        (
+            [fs(), fs(0, 1, 2, 3), fs(0, 1), fs(2, 3), fs(1, 2), fs(0, 3)],
+            r"^intersection of \[\d, \d\] and \[\d, \d\] missing$",
+        ),
+    ],
+    ids=["no-empty-set", "not-a-subset", "no-intersection"],
+)
+def test_kf_q6_names_how_a_family_is_no_field(family, message):
+    """4 is a point of ``q6(2, 4)`` but lies outside the minimal level, and
+    the last family is closed under complement but not under intersection."""
+    with pytest.raises(NotBooleanSubalgebra, match=message):
+        catalog.kf_subalgebra_q6(2, 4, family)
+
+
 def test_kf_crown_minimal_family():
     members = catalog.kf_subalgebra_crown(
         2, [fs(), fs(0, 1)], [fs(), fs(2, 3)]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pmkit.catalog import disjoint_union, nonregular_chain3, q6
+from pmkit.catalog import disjoint_union, nonregular_chain3, q, q6
 from pmkit.cli import main
 from pmkit.document import MAX_ELEMENTS, format_space
 from support import ROOT
@@ -119,6 +119,15 @@ def test_simple_verdicts(capsys):
     assert code == 0 and "simple: true" in out and "component:" in out
 
 
+def test_simple_false_on_two_disjoint_copies(tmp_path, capsys):
+    """No catalog space is non-simple; two copies of ``q2`` side by side
+    have no component whose involution image covers the rest."""
+    path = tmp_path / "two_q2.json"
+    path.write_text(format_space(disjoint_union(q(2), q(2))))
+    code, out, err = run(capsys, "simple", str(path))
+    assert (code, out, err) == (1, "simple: false\n", "")
+
+
 def test_simple_error_on_nonregular(capsys):
     code, _, err = run(capsys, "simple", "chain3")
     assert code == 2
@@ -218,6 +227,19 @@ def test_subalg_prints_the_closure_counts(capsys):
     code, out, err = run(capsys, "subalg", "grid:7", "--gens", "x0")
     assert code == 0 and err == ""
     assert out.splitlines() == ["size: 277", "op_applications: 334"]
+
+
+def test_subalg_lists_the_members(capsys):
+    code, out, err = run(capsys, "subalg", "q1", "--gens", "x", "--list")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "size: 4",
+        "op_applications: 9",
+        "member: {}",
+        "member: {x}",
+        "member: {zx}",
+        "member: {x, zx}",
+    ]
 
 
 def test_subalg_repeated_flags_accumulate(capsys):

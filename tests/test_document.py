@@ -73,6 +73,42 @@ def test_parse_rejects_partial_involution():
         )
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ([], "document must be a JSON object"),
+        ({"elements": "ab", "leq": [], "zeta": []}, "elements must be a list of strings"),
+        ({"elements": ["a"], "leq": {}, "zeta": ["a"]}, "leq must be a list of name pairs"),
+        (
+            {"elements": ["a"], "leq": [["a"]], "zeta": ["a"]},
+            "leq entries must be pairs, got ['a']",
+        ),
+        (
+            {"elements": ["a", "b"], "leq": [], "zeta": ["a"]},
+            "zeta permutation array must list every element",
+        ),
+        (
+            {"elements": ["a", "b"], "leq": [], "zeta": [["a", "b"], "a"]},
+            "zeta entries must be pairs, got 'a'",
+        ),
+        (
+            {"elements": ["a", "b", "c"], "leq": [], "zeta": [["a", "b"], ["a", "c"]]},
+            "zeta assigns 'a' twice",
+        ),
+        (
+            {"elements": ["a"], "leq": [], "zeta": {"a": "a"}},
+            "zeta must be a list of pairs or a permutation array",
+        ),
+    ],
+    ids=["not-an-object", "elements", "leq", "leq-entry", "zeta-array", "zeta-entry"]
+    + ["zeta-twice", "zeta"],
+)
+def test_parse_names_the_malformed_field(doc, message):
+    with pytest.raises(ParseError) as err:
+        parse_space(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_parse_surfaces_involution_break():
     doc = json.dumps(
         {

@@ -22,10 +22,16 @@ from pmkit import (
 )
 from pmkit.cli import main as cli_main
 from pmkit.document import format_space
-from pmkit.errors import BadParams, IndexOutOfRange, NotQ6Shaped, SearchBudgetExceeded
+from pmkit.errors import (
+    BadParams,
+    IndexOutOfRange,
+    NotQ6Shaped,
+    OrderReversalBroken,
+    SearchBudgetExceeded,
+)
 from pmkit.morphism import DEFAULT_BUDGET, Q6CriteriaReport, _q6_shape, _search_tables
 from pmkit.order import iter_bits
-from support import relabel
+from support import random_pm_space, relabel
 
 
 # -- check_pm_morphism ------------------------------------------------------------
@@ -439,6 +445,31 @@ def test_criteria_reject_other_shapes(other, message):
         check_q6_criteria(other, q6, [0] * other.n)
     with pytest.raises(NotQ6Shaped, match=message):
         check_q6_criteria(q6, other, [0] * q6.n)
+
+
+def test_zeta_swaps_the_two_levels_of_every_space(catalog_spaces):
+    """An involution that reverses the order reverses it both ways, so it
+    sends the minimals onto the maximals: ``_q6_shape`` needs no test of
+    its own that the two levels are swapped.  An involution sending a
+    minimal point elsewhere is refused when the space is built."""
+    rng = random.Random(3)
+    spaces = [space for _, space in catalog_spaces] + [random_pm_space(rng) for _ in range(200)]
+    for space in spaces:
+        p = space.poset
+        images = sum(1 << space.zeta[x] for x in iter_bits(p.minimals_mask()))
+        assert images == p.maximals_mask(), space
+    with pytest.raises(OrderReversalBroken):
+        Space(Poset.chain(3), (1, 0, 2))
+
+
+def test_criteria_refuse_a_map_that_does_not_commute_with_zeta():
+    """The map is onto the target level but sends ``zeta(0)`` to 4, not to
+    ``zeta(phi(0)) = 3``."""
+    src, dst = catalog.q6(1, 3), catalog.q6(0, 3)
+    phi = (0, 1, 2, 4, 3, 5)
+    report = check_q6_criteria(src, dst, phi)
+    assert not report.level_onto_and_equivariant and not report.ok
+    assert check_pm_morphism(src, dst, phi).clause == "involution"
 
 
 def test_criteria_validate_the_mapping():

@@ -6,7 +6,8 @@ from enum import IntEnum
 import pytest
 
 from pmkit import MorphismMap, Poset, Space, catalog, check_pm_morphism, dual_algebra
-from pmkit.errors import IndexOutOfRange, NotAnElement
+from pmkit import is_pm_isomorphic, search_surjective
+from pmkit.errors import BadParams, IndexOutOfRange, NotAnElement
 from pmkit.morphism import check_q6_criteria
 from pmkit.order import check_indices
 
@@ -19,8 +20,11 @@ class P(IntEnum):
 SRC, DST = catalog.q6(1, 3), catalog.q6(0, 3)
 
 #: Each entry called with ``bad`` in a point position; by its value alone
-#: (1 for the enum member and ``True``) every call would succeed.
+#: (1 for the enum member and ``True``, a row from the end for ``-1``) every
+#: call would succeed.
 ENTRIES = {
+    "up_mask": (IndexOutOfRange, lambda bad: SRC.poset.up_mask(bad)),
+    "down_mask": (IndexOutOfRange, lambda bad: SRC.poset.down_mask(bad)),
     "leq-left": (IndexOutOfRange, lambda bad: SRC.poset.leq(bad, 4)),
     "leq-right": (IndexOutOfRange, lambda bad: SRC.poset.leq(0, bad)),
     "mask_of": (IndexOutOfRange, lambda bad: SRC.poset.mask_of([0, bad])),
@@ -48,7 +52,11 @@ ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("bad", [P.B, True, 1.0, 6], ids=["IntEnum", "bool", "float", "high"])
+@pytest.mark.parametrize(
+    "bad",
+    [P.B, True, 1.0, 6, -1, None],
+    ids=["IntEnum", "bool", "float", "high", "negative", "None"],
+)
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_every_point_entry_refuses_what_is_no_point(entry, bad):
     error, call = ENTRIES[entry]
@@ -94,6 +102,27 @@ def test_malformed_construction_raises_a_typed_error(build, message):
     is not iterable, is named in an ``IndexOutOfRange``."""
     with pytest.raises(IndexOutOfRange) as err:
         build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: search_surjective(5, DST), IndexOutOfRange, "src must be a Space, got 5"),
+        (lambda: search_surjective(SRC, 5), IndexOutOfRange, "dst must be a Space, got 5"),
+        (lambda: is_pm_isomorphic(SRC, None), IndexOutOfRange, "b must be a Space, got None"),
+        (lambda: dual_algebra(5), IndexOutOfRange, "space must be a Space, got 5"),
+        (lambda: catalog.disjoint_union(SRC, 5), IndexOutOfRange, "b must be a Space, got 5"),
+        (lambda: catalog.named_space(5), BadParams, "a catalog token must be a string, got 5"),
+    ],
+    ids=["search-src", "search-dst", "is_pm_isomorphic", "dual_algebra", "disjoint_union"]
+    + ["named_space"],
+)
+def test_an_argument_that_is_no_space_raises_a_typed_error(call, error, message):
+    """An entry that takes a space names the argument that is none, and a
+    catalog token that is no string is a bad parameter."""
+    with pytest.raises(error) as err:
+        call()
     assert str(err.value) == message
 
 

@@ -5,7 +5,8 @@ The spaces are listed by brute force, from the definitions alone (see
 that reverses it, with copies removed by trying every relabelling.  The
 surjective-map search and the isomorphism test, and the map validator the
 search ends on, are then held to a brute force over all maps, which checks
-each map against the written-out definition of a structure map.
+each map against the written-out definition of a structure map, and the
+downset count and the congruence sets to every subset of the points.
 
 Even at 5 points the search's static candidate filters and narrowing decide
 every verdict: a search whose final validation of a complete map accepts
@@ -16,7 +17,7 @@ pinned on a larger question that it alone decides,
 import pytest
 
 from pmkit import catalog, check_pm_morphism, is_pm_isomorphic, morphism, search_surjective
-from support import build, is_structure_map, onto, pm_spaces, relabel
+from support import build, is_structure_map, minimals, onto, pm_spaces, powerset, relabel
 
 MAX_POINTS = 5
 
@@ -57,6 +58,30 @@ def test_search_verdicts_equal_brute_force(small_spaces):
                 assert report.witness.mapping in maps, (src, dst)
                 found += 1
     assert 44 < found < 44 * 44
+
+
+def test_downsets_equal_brute_force(small_spaces):
+    """Counted and listed, the downsets are the subsets that hold every
+    point below one of theirs."""
+    for (n, rel, _), space in small_spaces:
+        down = {s for s in powerset(range(n)) if all(x in s for x, y in rel if y in s)}
+        masks = space.poset.downset_masks()
+        assert space.poset.count_downsets() == len(masks) == len(down), (n, rel)
+        assert set(map(space.poset.set_of, masks)) == down, (n, rel)
+
+
+def test_congruence_sets_equal_brute_force(small_spaces):
+    """The congruence sets are the involution-closed subsets that hold every
+    point above one of their minimal points."""
+    for (n, rel, z), space in small_spaces:
+        lows = minimals(n, rel)
+        found = {
+            s
+            for s in powerset(range(n))
+            if all(z[x] in s for x in s) and all(y in s for x, y in rel if x in s & lows)
+        }
+        sets = space.congruence_sets()
+        assert len(sets) == len(found) and set(sets) == found, (n, rel, z)
 
 
 def test_isomorphism_separates_the_small_spaces(small_spaces):
